@@ -16,7 +16,7 @@ from .analytic import (
     linear_solution_on_grid,
     power_weighted_solution,
 )
-from .errors import ConvergenceError, DomainError, InfeasibleError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .frame import (
     HADAMARD,
     Grid,
@@ -46,7 +46,6 @@ from .solver import (
     contraction_factor,
     lipschitz_estimate,
     picard_solve,
-    split_interval,
 )
 from .sourceexpr import ExprSyntaxError, SourceExpr, UnknownIdentifierError, parse_source
 from .specfun import KSQuery, MLQuery, gamma_ratio, log_gamma, ml1, ml2, ml_ks
@@ -71,7 +70,6 @@ __all__ = [
     "ValidationError",
     "DomainError",
     "ConvergenceError",
-    "InfeasibleError",
     "ExprSyntaxError",
     "UnknownIdentifierError",
     "make_params",
@@ -93,7 +91,6 @@ __all__ = [
     "reconstruct",
     "boundary_coefficient",
     "contraction_factor",
-    "split_interval",
     "lipschitz_estimate",
     "picard_solve",
     "homogeneous_solution",

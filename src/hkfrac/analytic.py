@@ -92,12 +92,9 @@ def homogeneous_solution(spec: LinearProblemSpec, x):
         raise ValidationError("homogeneous solution requires source = None")
     params = spec.params
     xa = _check_in_domain(params, x)
-    z = np.atleast_1d(np.asarray(z_of_x(params, xa), dtype=float))
+    z = np.asarray(z_of_x(params, xa), dtype=float)
     g = params.gamma
-    out = np.empty_like(z)
-    for i, zz in enumerate(z):
-        out[i] = spec.c * zz ** (g - 1.0) * ml2(MLQuery(params.alpha, g, spec.lam * zz**params.alpha))
-    out = out.reshape(np.shape(np.asarray(xa)))
+    out = spec.c * z ** (g - 1.0) * ml2(MLQuery(params.alpha, g, spec.lam * z**params.alpha))
     return out if isinstance(x, np.ndarray) else float(out)
 
 
@@ -145,9 +142,7 @@ def linear_solution_on_grid(spec: LinearProblemSpec, grid: Grid) -> GridFn:
     params = grid.params
     g = params.gamma
     z = grid.nodes_z
-    weighted = np.array(
-        [spec.c * ml2(MLQuery(params.alpha, g, spec.lam * zz**params.alpha)) for zz in z]
-    )
+    weighted = spec.c * ml2(MLQuery(params.alpha, g, spec.lam * z**params.alpha))
     if spec.source is not None:
         f = GridFn.from_x_function(grid, spec.source)
         terms = _ml_kernel_terms(params.alpha, spec.lam, z[-1])
@@ -163,13 +158,8 @@ def power_weighted_solution(spec: PowerWeightedSpec, x):
     l = 1.0 + (spec.xi - 1.0) / alpha
     m = 1.0 + spec.xi / alpha
     pref = spec.c * math.exp(-log_gamma(alpha))
-    z = np.atleast_1d(np.asarray(z_of_x(params, xa), dtype=float))
-    out = np.empty_like(z)
-    for i, zz in enumerate(z):
-        out[i] = pref * zz ** (alpha - 1.0) * ml_ks(
-            KSQuery(alpha, l, m, spec.lam * zz ** (alpha + spec.xi))
-        )
-    out = out.reshape(np.shape(np.asarray(xa)))
+    z = np.asarray(z_of_x(params, xa), dtype=float)
+    out = pref * z ** (alpha - 1.0) * ml_ks(KSQuery(alpha, l, m, spec.lam * z ** (alpha + spec.xi)))
     return out if isinstance(x, np.ndarray) else float(out)
 
 

@@ -5,8 +5,10 @@
                  [--format csv|json]
     hkfrac verify --suite NAME [--json FILE]    run a verification suite
 
-Exit codes: 0 success, 1 usage/config error, 2 domain error, 3 convergence
-failure or tolerance violation (solve still writes its report in that case).
+Exit codes: 0 success, 1 usage/config error, 2 domain error (including a
+source that is not finite somewhere on the grid; solve writes no output),
+3 convergence failure or tolerance violation (solve still writes its report
+in that case).
 
 The problem config is a flat key = value text file; ``#`` starts a comment.
 Keys: alpha, beta, rho (number or "hadamard"), a, b, c, lambda, source
@@ -36,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .errors import ConvergenceError, DomainError, InfeasibleError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .frame import HKParams, z_of_x
 from .solver import CauchyProblem, SolverConfig, picard_solve
 from .sourceexpr import parse_source
@@ -221,7 +223,7 @@ def _cmd_solve(args) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ConvergenceError, InfeasibleError) as exc:
+    except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         report = getattr(exc, "report", None)
         if report is None:

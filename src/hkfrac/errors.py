@@ -28,7 +28,3 @@ class ConvergenceError(RuntimeError):
         super().__init__(message)
         self.history = history
         self.report = report
-
-
-class InfeasibleError(RuntimeError):
-    """The requested computation is infeasible at desk scale."""

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .frame import Grid, GridFn, HKParams, make_graded_grid, x_of_z, z_of_x
 from .operators import _left_weight_matrix, _plain_kernel
 from .specfun import gamma_ratio, log_gamma
@@ -46,12 +46,9 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "contraction_factor",
-    "split_interval",
     "lipschitz_estimate",
     "picard_solve",
 ]
-
-MAX_SUBINTERVALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -160,33 +157,6 @@ def contraction_factor(A: float, params: HKParams, x1: float) -> float:
     return A * gamma_ratio(g, params.alpha + g) * z1**params.alpha
 
 
-def split_interval(A: float, params: HKParams, config: SolverConfig) -> np.ndarray:
-    """Greedy breakpoints x_1 < ... < x_M = b with per-subinterval factor theta.
-
-    Each subinterval's factor uses the contraction formula with the
-    subinterval's z-length (conservative: z measured in the global kernel
-    coordinate); the last subinterval is capped at b and may have a smaller
-    factor.
-    """
-    if A < 0.0:
-        raise ValidationError(f"Lipschitz constant must satisfy A >= 0 (got {A})")
-    z_top = params.z_top
-    coef = A * gamma_ratio(params.gamma, params.alpha + params.gamma)
-    if A == 0.0 or coef * z_top**params.alpha <= config.theta:
-        return np.array([params.b])
-    dz = (config.theta / coef) ** (1.0 / params.alpha)
-    count = int(math.ceil(z_top / dz))
-    if count > MAX_SUBINTERVALS:
-        raise InfeasibleError(
-            f"contraction splitting needs {count} subintervals (> {MAX_SUBINTERVALS}); "
-            "the Lipschitz constant is too large for desk scale"
-        )
-    z_breaks = np.minimum(dz * np.arange(1, count + 1), z_top)
-    xs = x_of_z(params, z_breaks)
-    xs[-1] = params.b
-    return xs
-
-
 def lipschitz_estimate(problem: CauchyProblem, samples: int = 200) -> float:
     """Sampled Lipschitz constant of f(x, .), inflated by a 1.5 safety factor.
 
@@ -257,6 +227,9 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     (the known history part of the fixed-point map).  Iteration stops when
     the weighted norm ||phi_k - phi_{k-1}||_{1-gamma} falls below ``tol``;
     non-convergence raises :class:`ConvergenceError` carrying the partial
+    report.  A sweep whose residual is not finite ends the solve at once: a
+    non-finite rhs value raises :class:`DomainError` naming its x, and an
+    overflow of finite values raises :class:`ConvergenceError` without a
     report.
     """
     params = problem.params
@@ -325,6 +298,18 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             integral = fr1 * core_shape[start:end] + W[start:end, : end + 1] @ v
             new_reg = phi0_reg + z_pow_up[start:end] * integral
             residual = float(np.max(np.abs(new_reg - reg[start:end]))) if end > start else 0.0
+            if not math.isfinite(residual):
+                # a non-finite rhs value poisons every node through W
+                bad = ~np.isfinite(f_vals)
+                if np.any(bad):
+                    raise DomainError(
+                        f"rhs is not finite at x = {float(x[np.argmax(bad)])!r} "
+                        f"(subinterval {s + 1}, sweep {k})"
+                    )
+                raise ConvergenceError(
+                    f"Picard iterates overflowed on subinterval {s + 1} (sweep {k})",
+                    history=[list(r) for r in residual_history],
+                )
             reg[start:end] = new_reg
             history.append(residual)
             if iterates is not None and s == 0:

@@ -172,9 +172,7 @@ def _picard_closed_form() -> list:
                     problem, solver.SolverConfig(n=1024, tol=1e-9)
                 )
                 z = report.grid.nodes_z
-                exact_reg = np.array(
-                    [ml2(MLQuery(alpha, gam, -(zz**alpha))) for zz in z]
-                )
+                exact_reg = ml2(MLQuery(alpha, gam, -(z**alpha)))
                 gap = float(np.max(np.abs(report.solution.regular_values - exact_reg)))
                 tag = f"alpha={alpha} beta={beta} rho={rho}"
                 records.append(_record("picard", f"{tag} closed-form gap", gap, 5e-4))

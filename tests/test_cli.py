@@ -143,6 +143,16 @@ class TestSolveCommand:
         payload = json.loads(out.read_text())
         assert payload["report"]["converged"] is False
 
+    def test_nonfinite_source_exits_2_without_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            HOMOGENEOUS_CONFIG.replace("source = 0", "source = ln(x - 1.5)").replace("n = 256", "n = 512")
+        )
+        out = tmp_path / "out.csv"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "not finite at x" in capsys.readouterr().err
+
     def test_missing_config_file(self, capsys):
         assert cli.main(["solve", "--config", "/nonexistent", "--out", "/tmp/x.csv"]) == 1
 

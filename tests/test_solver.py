@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from hkfrac.analytic import LinearProblemSpec, linear_solution_on_grid
-from hkfrac.errors import ConvergenceError, InfeasibleError, ValidationError
-from hkfrac.frame import make_params, z_of_x
+from hkfrac.errors import ConvergenceError, DomainError, ValidationError
+from hkfrac.frame import make_graded_grid, make_params
 from hkfrac.operators import hk_derivative
 from hkfrac.solver import (
     CauchyProblem,
@@ -15,7 +15,6 @@ from hkfrac.solver import (
     contraction_factor,
     lipschitz_estimate,
     picard_solve,
-    split_interval,
 )
 from hkfrac.specfun import MLQuery, ml2
 
@@ -38,31 +37,6 @@ class TestContractionFactor:
         xs = np.linspace(1.05, 2.0, 20)
         ws = [contraction_factor(1.0, p, float(x)) for x in xs]
         assert all(b > a for a, b in zip(ws, ws[1:]))
-
-
-class TestSplitInterval:
-    def test_single_interval_when_factor_small(self):
-        p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
-        assert np.array_equal(split_interval(0.1, p, SolverConfig()), [2.0])
-        assert np.array_equal(split_interval(0.0, p, SolverConfig()), [2.0])
-
-    def test_first_breakpoint_inverts_the_factor_formula(self):
-        p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
-        xs = split_interval(1.0, p, SolverConfig(theta=0.5))
-        z1 = z_of_x(p, float(xs[0]))
-        assert z1 == pytest.approx((0.5 / math.sqrt(math.pi)) ** 2, rel=1e-12)
-        assert xs[-1] == 2.0
-
-    def test_doubling_lipschitz_scales_lengths(self):
-        p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
-        z1 = z_of_x(p, float(split_interval(1.0, p, SolverConfig())[0]))
-        z2 = z_of_x(p, float(split_interval(2.0, p, SolverConfig())[0]))
-        assert z2 / z1 == pytest.approx(2.0 ** (-1.0 / 0.5), rel=1e-12)
-
-    def test_infeasible_constant(self):
-        p = make_params(0.3, 0.0, 1.0, 1.0, 2.0)
-        with pytest.raises(InfeasibleError):
-            split_interval(1e9, p, SolverConfig())
 
 
 class TestLipschitzEstimate:
@@ -171,6 +145,32 @@ class TestPicardSolve:
         err = excinfo.value
         assert err.report is not None and not err.report.converged
         assert err.history and len(err.history[0]) == 2
+
+    def test_nonfinite_rhs_fails_at_the_first_sweep_naming_x(self):
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        calls = []
+
+        def source(x):
+            calls.append(len(x))
+            with np.errstate(invalid="ignore"):
+                return np.log(x - 1.5)
+
+        prob = CauchyProblem.linear(p, -1.0, source, 1.0)
+        with pytest.raises(DomainError, match="not finite") as excinfo:
+            picard_solve(prob, SolverConfig(n=512))
+        assert len(calls) == 1
+        first_x = float(make_graded_grid(p, 512).nodes_x[0])
+        assert f"x = {first_x!r}" in str(excinfo.value)
+
+    def test_overflowing_iterates_fail_at_the_first_sweep(self):
+        # every rhs value is finite, but the first sweep's integral overflows
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        prob = CauchyProblem(p, lambda x, phi: np.full_like(phi, np.finfo(float).max), 1.0,
+                             lipschitz=0.0)
+        with pytest.raises(ConvergenceError, match="overflowed") as excinfo, \
+                np.errstate(over="ignore", invalid="ignore"):
+            picard_solve(prob, SolverConfig(n=64))
+        assert excinfo.value.report is None
 
     def test_recorded_iterates_start_from_the_free_term(self):
         p = make_params(0.4, 0.0, 1.0, 1.0, 2.0)

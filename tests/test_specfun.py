@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from hkfrac.errors import ConvergenceError, DomainError, ValidationError
-from hkfrac.specfun import KSQuery, MLQuery, gamma_ratio, log_gamma, ml1, ml2, ml_ks
+from hkfrac.specfun import SERIES_X_MAX, KSQuery, MLQuery, gamma_ratio, log_gamma, ml1, ml2, ml_ks
 
 
 def golden():
@@ -40,7 +40,7 @@ class TestLogGamma:
         assert np.max(scaled) <= 1e-13
 
     def test_scalar_matches_vector_path(self):
-        xs = np.array([0.123, 1.0, 7.7, 42.0])
+        xs = np.array([0.123, 0.69119594, 1.0, 7.7, 42.0])
         assert np.allclose([log_gamma(float(x)) for x in xs], log_gamma(xs), rtol=0, atol=0)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
@@ -86,9 +86,19 @@ class TestML2:
             v2 = ml2(q, max_terms=20000)
             assert abs(v1 - v2) <= 1e-12 * abs(v1)
 
+    @pytest.mark.parametrize("alpha,beta", [(0.9, 1.3), (1.5, 0.7)])
+    def test_array_matches_scalar_calls_bit_for_bit(self, alpha, beta):
+        # mixed signs, zeros and |x| up to x_max, over more than one block of arguments
+        xs = np.concatenate([np.linspace(-3.0, 3.0, 121), [0.0, -0.0, 1e-300, 30.0, SERIES_X_MAX]])
+        got = ml2(MLQuery(alpha, beta, xs))
+        assert np.array_equal(got, [ml2(MLQuery(alpha, beta, float(x))) for x in xs])
+        assert np.array_equal(ml2(MLQuery(alpha, beta, xs.reshape(2, -1))), got.reshape(2, -1))
+
     def test_refuses_beyond_x_max(self):
         with pytest.raises(DomainError, match="series regime"):
             ml2(MLQuery(0.5, 1.0, 51.0))
+        with pytest.raises(DomainError, match="series regime"):
+            ml2(MLQuery(0.5, 1.0, np.r_[np.linspace(-1.0, 1.0, 100), 51.0]))
         ml2(MLQuery(0.5, 1.0, 2.0), x_max=2.0)  # boundary is allowed
         with pytest.raises(DomainError):
             ml2(MLQuery(0.5, 1.0, 2.1), x_max=2.0)
@@ -100,10 +110,14 @@ class TestML2:
     def test_term_cap_raises_convergence_error(self):
         with pytest.raises(ConvergenceError):
             ml2(MLQuery(0.5, 1.0, 10.0), max_terms=20)
+        with pytest.raises(ConvergenceError):
+            ml2(MLQuery(0.5, 1.0, np.r_[np.linspace(0.0, 0.1, 100), 10.0]), max_terms=20)
 
     def test_refuses_catastrophic_cancellation(self):
         with pytest.raises(DomainError, match="cancellation"):
             ml2(MLQuery(0.5, 0.5, -20.0))
+        with pytest.raises(DomainError, match="cancellation"):
+            ml2(MLQuery(0.5, 0.5, np.r_[np.linspace(-1.0, 1.0, 100), -20.0]))
 
     def test_query_validation(self):
         with pytest.raises(ValidationError):
@@ -121,6 +135,8 @@ class TestML1:
 
     def test_delegates_to_ml2(self):
         assert ml1(0.5, 0.25) == ml2(MLQuery(0.5, 1.0, 0.25))
+        xs = np.array([0.25, -0.5])
+        assert np.array_equal(ml1(0.5, xs), ml2(MLQuery(0.5, 1.0, xs)))
 
 
 def ks_reference(alpha, l, m, x, terms=64):
@@ -154,6 +170,23 @@ class TestMLKS:
         rhs = math.exp(log_gamma(alpha * l + 1.0)) * ml2(MLQuery(alpha, alpha * l + 1.0, x))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha,l,m", [(0.7, -0.3, 1.0), (0.9, 1.2, 0.8)])
+    def test_array_matches_scalar_calls_bit_for_bit(self, alpha, l, m):
+        xs = np.concatenate([np.linspace(-2.0, 2.0, 121), [0.0, -0.0, 1e-300, 30.0, SERIES_X_MAX]])
+        got = ml_ks(KSQuery(alpha, l, m, xs))
+        assert np.array_equal(got, [ml_ks(KSQuery(alpha, l, m, float(x))) for x in xs])
+
+    @pytest.mark.parametrize(
+        "x,kw,error",
+        [(51.0, {}, DomainError), (-40.0, {}, DomainError), (10.0, {"max_terms": 20}, ConvergenceError)],
+    )
+    def test_array_refuses_like_the_scalar_call(self, x, kw, error):
+        q = KSQuery(0.9, 1.2, 0.8, x)
+        with pytest.raises(error):
+            ml_ks(q, **kw)
+        with pytest.raises(error):
+            ml_ks(KSQuery(0.9, 1.2, 0.8, np.r_[np.linspace(0.0, 0.1, 100), x]), **kw)
+
     def test_golden_values(self):
         for entry in golden()["ml_ks"]:
             got = ml_ks(KSQuery(entry["alpha"], entry["l"], entry["m"], entry["x"]))
@@ -162,6 +195,8 @@ class TestMLKS:
     def test_pole_detection(self):
         with pytest.raises(DomainError, match="pole"):
             ml_ks(KSQuery(0.5, -2.0, 1.0, 0.5))
+        with pytest.raises(DomainError, match="pole"):
+            ml_ks(KSQuery(0.5, -2.0, 1.0, np.array([0.0, 0.5])))
 
     def test_nonpositive_gamma_argument_rejected(self):
         with pytest.raises(DomainError):
