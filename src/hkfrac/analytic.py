@@ -104,11 +104,12 @@ def _ml_kernel_terms(alpha: float, lam: float, z_top: float, tol: float = 1e-18)
     Term k contributes lam^k / Gamma(alpha(k+1)) * w^(alpha(k+1)-1); the
     expansion is truncated once the largest panel contribution is negligible.
     """
+    es = alpha * np.arange(1.0, 301.0)
+    neg_log_gammas = -log_gamma(es)
     terms = []
     first_scale = None
-    for k in range(0, 300):
-        e = alpha * (k + 1.0)
-        coef = lam**k * math.exp(-log_gamma(e))
+    for k, (e, neg_lg) in enumerate(zip(es.tolist(), neg_log_gammas.tolist())):
+        coef = lam**k * math.exp(neg_lg)
         scale = abs(coef) * z_top**e
         terms.append((coef, e))
         if first_scale is None:

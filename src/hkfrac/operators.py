@@ -20,6 +20,11 @@ pure power r(0) * z^sigma, whose image is known in closed form (the power
 rule J^a z^(xi-1) = Gamma(xi)/Gamma(a+xi) z^(a+xi-1)); the remainder vanishes
 at the first node and is integrated numerically.
 
+The weight matrices are dense (n x (n+1) on the left, n x n on the right)
+and cached on the grid per kernel.  They are built in fixed blocks of target
+rows over only the panels their rows touch, so building one needs the
+matrix itself plus one block of temporaries (a few block x n arrays).
+
 Pure-power inputs (constant regular part) bypass quadrature entirely via the
 analytic rules, which keeps identities like D^a z^(a-1) = 0 exact rather
 than approximate.
@@ -59,37 +64,67 @@ def _snap_exponent(sigma: float) -> float:
     return 0.0 if abs(sigma) < 1e-12 else sigma
 
 
-def _power_diff(w_hi: np.ndarray, w_lo: np.ndarray, e: float, mask: np.ndarray) -> np.ndarray:
-    """w_hi^e - w_lo^e for 0 <= w_lo < w_hi, stable when w_lo ~ w_hi."""
-    out = np.zeros_like(w_hi)
-    zero_lo = mask & (w_lo <= 0.0)
-    out[zero_lo] = w_hi[zero_lo] ** e
-    gen = mask & (w_lo > 0.0)
-    if np.any(gen):
-        ratio = w_lo[gen] / w_hi[gen]
-        out[gen] = -(w_hi[gen] ** e) * np.expm1(e * np.log(ratio))
-    return out
+# Target rows per block of the weight build.  At n = 1024-4096, blocks of
+# 16-64 rows built about equally fast and blocks of 128-256 up to 2x slower.
+_ROW_BLOCK = 32
 
 
-def _accumulate_panel_weights(W, w_near, w_far, h, mask, terms, left_sided):
-    """Add product-integration weights for kernel sum_c c * w^(e-1) over panels.
+def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarray:
+    """Product-integration weights for the kernel sum_c c * w^(e-1), cached on the grid.
 
-    ``w_near``/``w_far`` are kernel distances at the panel endpoint nearer/
-    farther from the target; for the left-sided operator the far endpoint is
-    the panel's left node, for the right-sided one it is the right node.
+    Over panel [u_j, u_{j+1}] at kernel distances w_near/w_far from target z_i
+    (the near endpoint is u_{j+1} on the left side, u_j on the right), the
+    linear interpolant puts (w_far I0 - I1)/h on the near node and
+    (I1 - w_near I0)/h on the far one, where I_p = (w_far^p - w_near^p)/p for
+    p = e, e + 1 is computed as -w_far^p expm1(p log(w_near/w_far))/p: stable
+    when w_near ~ w_far, and w_far^p/p on the panel ending at the target,
+    where w_near = 0 and expm1(-inf) = -1.  W is filled in blocks of target
+    rows; a block evaluates only the panels its rows touch, and
+    log(w_near/w_far) is shared by both exponents of every term.
     """
-    for coef, e in terms:
-        i0 = _power_diff(w_far, w_near, e, mask) / e
-        i1 = _power_diff(w_far, w_near, e + 1.0, mask) / (e + 1.0)
-        toward_near = np.where(mask, (w_far * i0 - i1) / h, 0.0)
-        toward_far = np.where(mask, (i1 - w_near * i0) / h, 0.0)
+    key = ("left" if left_sided else "right", terms)
+    cached = grid._cache.get(key)
+    if cached is not None:
+        return cached
+    z = grid.nodes_z
+    n = grid.n
+    u = np.concatenate(([0.0], z)) if left_sided else z
+    h = u[1:] - u[:-1]
+    W = np.zeros((n, u.size))
+    for r0 in range(0, n, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, n)
+        t = z[r0:r1, None]
+        # the panels j <= i on the left, j >= i on the right, of any row in the block
+        lo, hi = (0, r1) if left_sided else (r0, n - 1)
+        if lo >= hi:
+            continue
         if left_sided:
-            # panel [u_j, u_{j+1}]: far distance at u_j, near at u_{j+1}
-            W[:, :-1] += coef * toward_far
-            W[:, 1:] += coef * toward_near
+            w_far, w_near = t - u[lo:hi], t - u[lo + 1:hi + 1]
         else:
-            W[:, :-1] += coef * toward_near
-            W[:, 1:] += coef * toward_far
+            w_near, w_far = u[lo:hi] - t, u[lo + 1:hi + 1] - t
+        # a panel past the target gets harmless distances and no weight
+        untouched = w_near < 0.0
+        np.putmask(w_near, untouched, 0.0)
+        np.putmask(w_far, untouched, 1.0)
+        with np.errstate(divide="ignore"):
+            log_ratio = np.log(w_near / w_far)
+        to_near = np.zeros_like(w_far)
+        to_far = np.zeros_like(w_far)
+        for coef, e in terms:
+            i0 = -(w_far**e) * np.expm1(e * log_ratio) / e
+            i1 = -(w_far ** (e + 1.0)) * np.expm1((e + 1.0) * log_ratio) / (e + 1.0)
+            to_near += coef * ((w_far * i0 - i1) / h[lo:hi])
+            to_far += coef * ((i1 - w_near * i0) / h[lo:hi])
+        np.putmask(to_near, untouched, 0.0)
+        np.putmask(to_far, untouched, 0.0)
+        rows = W[r0:r1]
+        if left_sided:
+            rows[:, lo:hi] += to_far
+            rows[:, lo + 1:hi + 1] += to_near
+        else:
+            rows[:, lo:hi] += to_near
+            rows[:, lo + 1:hi + 1] += to_far
+    grid._cache[key] = W
     return W
 
 
@@ -99,45 +134,22 @@ def _left_weight_matrix(grid: Grid, terms: KernelTerms) -> np.ndarray:
     v[0] is the integrand value at the excluded endpoint z = 0 (the callers
     below always pass 0 there, having subtracted the singular core).
     """
-    key = ("left", terms)
-    cached = grid._cache.get(key)
-    if cached is not None:
-        return cached
-    u = np.concatenate(([0.0], grid.nodes_z))
-    targets = grid.nodes_z[:, None]
-    w_far = targets - u[None, :-1]
-    w_near = targets - u[None, 1:]
-    h = (u[1:] - u[:-1])[None, :]
-    mask = w_near >= 0.0
-    W = np.zeros((grid.n, grid.n + 1))
-    _accumulate_panel_weights(W, w_near, w_far, h, mask, terms, left_sided=True)
-    grid._cache[key] = W
-    return W
+    return _weight_matrix(grid, terms, left_sided=True)
 
 
 def _right_weight_matrix(grid: Grid, terms: KernelTerms) -> np.ndarray:
     """Weights W with (J f)(z_i) = sum_j W[i, j] f(z_j) over panels [z_i, z_n]."""
-    key = ("right", terms)
-    cached = grid._cache.get(key)
-    if cached is not None:
-        return cached
-    u = grid.nodes_z
-    targets = u[:, None]
-    w_near = u[None, :-1] - targets
-    w_far = u[None, 1:] - targets
-    h = (u[1:] - u[:-1])[None, :]
-    mask = w_near >= 0.0
-    W = np.zeros((grid.n, grid.n))
-    _accumulate_panel_weights(W, w_near, w_far, h, mask, terms, left_sided=False)
-    grid._cache[key] = W
-    return W
+    return _weight_matrix(grid, terms, left_sided=False)
 
 
 def _core_convolution(terms: KernelTerms, sigma: float, z: np.ndarray) -> np.ndarray:
     """int_0^z K(z-u) u^sigma du for K = sum_c c w^(e-1), via the power rule."""
+    es = np.array([e for _, e in terms])
+    lg = log_gamma(np.concatenate(([sigma + 1.0], es, es + sigma + 1.0)))
+    lg_sigma, (lg_e, lg_e_sigma) = lg[0], np.split(lg[1:], 2)
     out = np.zeros_like(z)
-    for coef, e in terms:
-        out += coef * math.exp(log_gamma(e) + log_gamma(sigma + 1.0) - log_gamma(e + sigma + 1.0)) * z ** (e + sigma)
+    for (coef, e), lg_a, lg_b in zip(terms, lg_e, lg_e_sigma):
+        out += coef * math.exp(lg_a + lg_sigma - lg_b) * z ** (e + sigma)
     return out
 
 

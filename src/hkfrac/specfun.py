@@ -202,9 +202,10 @@ def _power_series(log_coef_chunks, x, start: int, at_zero: float, what: str,
     its own first term with k >= 1 and |t_k| <= SERIES_EPS |partial sum|.
     """
     xa = np.asarray(x, dtype=float)
-    if np.any(np.abs(xa) > x_max):
+    outside = ~(np.abs(xa) <= x_max)  # NaN is outside too
+    if np.any(outside):
         raise DomainError(
-            f"series regime exceeded: |x| = {np.max(np.abs(xa))} > x_max = {x_max}"
+            f"series regime exceeded: x = {xa[outside].flat[0]} is outside |x| <= x_max = {x_max}"
         )
     flat = xa.reshape(-1)
     out = np.full(flat.shape, at_zero)
@@ -250,8 +251,8 @@ def ml2(q: MLQuery, *, x_max: float = SERIES_X_MAX, max_terms: int = SERIES_MAX_
     summation contract: the accumulator never loses double-scale digits; for
     x < 0 the terms alternate in sign).  Truncation, per argument:
     |term| <= 1e-16 |partial sum|, with a hard cap of ``max_terms`` terms.
-    Arguments beyond ``x_max`` are refused -- the series evaluator is not
-    meant for the asymptotic regime.  An array is refused as a whole when
+    Arguments beyond ``x_max``, and NaN, are refused -- the series evaluator
+    is not meant for the asymptotic regime.  An array is refused as a whole when
     any one of its arguments would be.
     """
     alpha, beta = np.longdouble(q.alpha), np.longdouble(q.beta)

@@ -19,7 +19,7 @@ from hkfrac.analytic import (
 from hkfrac.errors import ValidationError
 from hkfrac.frame import GridFn, make_graded_grid, make_params, weighted_norm, z_of_x
 from hkfrac.operators import gfi_left
-from hkfrac.specfun import KSQuery, ml_ks
+from hkfrac.specfun import KSQuery, log_gamma, ml_ks
 
 
 def golden():
@@ -101,6 +101,25 @@ class TestLinearSolution:
         free = GridFn.constant(grid, 1.0 / math.gamma(p.gamma), sigma=p.gamma - 1.0)
         residual = phi - (free + gfi_left(rhs, 0.6, method="quadrature"))
         assert weighted_norm(residual, 1.0 - p.gamma) <= 5e-4
+
+
+class TestKernelTerms:
+    @pytest.mark.parametrize("alpha,lam,z_top", [(0.5, -1.0, 1.5), (0.3, 4.0, 2.0), (0.9, -20.0, 0.7)])
+    def test_match_the_per_term_scalar_loop(self, alpha, lam, z_top):
+        from hkfrac.analytic import _ml_kernel_terms
+
+        ref = []
+        first_scale = None
+        for k in range(300):
+            e = alpha * (k + 1.0)
+            coef = lam**k * math.exp(-log_gamma(e))
+            scale = abs(coef) * z_top**e
+            ref.append((coef, e))
+            if first_scale is None:
+                first_scale = max(scale, 1e-300)
+            if k >= 2 and scale <= 1e-18 * first_scale:
+                break
+        assert _ml_kernel_terms(alpha, lam, z_top) == tuple(ref)
 
 
 class TestPowerWeightedSolution:

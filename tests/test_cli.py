@@ -63,6 +63,10 @@ class TestMlCommand:
     def test_domain_error_exit_code(self, capsys):
         assert cli.main(["ml", "--alpha", "0.5", "--x", "100"]) == 2
 
+    def test_nan_argument_exit_code(self, capsys):
+        assert cli.main(["ml", "--alpha", "0.5", "--x", "nan"]) == 2
+        assert "series regime" in capsys.readouterr().err
+
     def test_invalid_parameter_exit_code(self):
         assert cli.main(["ml", "--alpha", "-1", "--x", "0.5"]) == 2
 

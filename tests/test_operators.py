@@ -5,6 +5,8 @@ independence matters), change-of-variables identities, and grid refinement.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from hkfrac.operators import (
     power_rule_analytic,
     reconstruct,
 )
-from hkfrac.specfun import gamma_ratio
+from hkfrac.specfun import gamma_ratio, log_gamma
 
 
 def rl_power(xi, order, z):
@@ -95,6 +97,100 @@ class TestWeightMatrices:
                     )
                 expected /= math.gamma(order)
                 assert W[i, j] == pytest.approx(expected, abs=1e-9)
+
+
+class TestBlockedWeightBuild:
+    """The row-blocked weight build across block boundaries (n = 3 blocks + 5)."""
+
+    @staticmethod
+    def _fresh_weights(side, kernel):
+        from hkfrac.analytic import _ml_kernel_terms
+        from hkfrac.operators import _ROW_BLOCK, _left_weight_matrix, _plain_kernel, _right_weight_matrix
+
+        g = make_graded_grid(make_params(0.6, 0.0, 1.5, 1.0, 2.0), 3 * _ROW_BLOCK + 5)
+        if kernel == "plain":
+            terms = _plain_kernel(0.6)
+        else:
+            terms = _ml_kernel_terms(0.6, -1.5, g.nodes_z[-1])
+            assert len(terms) > 10
+        build = _left_weight_matrix if side == "left" else _right_weight_matrix
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the target's own panel takes log(0) silently
+            W = build(g, terms)
+        return g, terms, W
+
+    @pytest.mark.parametrize("kernel", ["plain", "ml"])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_exact_on_linear_functions(self, side, kernel):
+        # product integration is exact on c0 + c1 u, at every row
+        g, terms, W = self._fresh_weights(side, kernel)
+        z = g.nodes_z
+        c0, c1 = 0.7, 1.3
+        expected = np.zeros_like(z)
+        if side == "left":
+            got = W @ (c0 + c1 * np.concatenate(([0.0], z)))
+            for coef, e in terms:
+                expected += coef * (c0 * z**e / e + c1 * z ** (e + 1.0) / (e * (e + 1.0)))
+        else:
+            got = W @ (c0 + c1 * z)
+            span = z[-1] - z
+            for coef, e in terms:
+                expected += coef * ((c0 + c1 * z) * span**e / e + c1 * span ** (e + 1.0) / (e + 1.0))
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_hat_functions_at_block_boundaries(self, side):
+        from hkfrac.operators import _ROW_BLOCK
+
+        g, terms, W = self._fresh_weights(side, "plain")
+        [(coef, order)] = terms
+        nodes = np.concatenate(([0.0], g.nodes_z)) if side == "left" else g.nodes_z
+        n_panels = nodes.size - 1
+        for i in (_ROW_BLOCK - 1, _ROW_BLOCK, 2 * _ROW_BLOCK - 1, 2 * _ROW_BLOCK):
+            target = g.nodes_z[i]
+            # the left row integrates panels k <= i, the right row panels k >= i
+            touched = range(0, i + 1) if side == "left" else range(i, n_panels)
+            for j in range(nodes.size):
+                def hat(u, j=j):
+                    return np.interp(u, nodes, hat_values(nodes, j))
+                expected = 0.0
+                for k in (j - 1, j):  # the hat's support
+                    if k not in touched:
+                        continue
+                    lo, hi = nodes[k], nodes[k + 1]
+                    if side == "left":
+                        expected += singular_panel_integral(target, lo, hi, hat, order)
+                    else:
+                        expected += singular_panel_integral(
+                            -target, -hi, -lo, lambda v, hat=hat: hat(-v), order
+                        )
+                assert W[i, j] == pytest.approx(coef * expected, abs=1e-9)
+
+    def test_build_memory_is_the_matrix_plus_one_block(self):
+        from hkfrac.operators import _left_weight_matrix, _plain_kernel
+
+        g = make_graded_grid(make_params(0.5, 0.5, 2.0, 1.0, 2.0), 1024)
+        tracemalloc.start()
+        try:
+            W = _left_weight_matrix(g, _plain_kernel(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * W.nbytes
+
+    def test_core_convolution_matches_the_per_term_scalar_loop(self):
+        from hkfrac.analytic import _ml_kernel_terms
+        from hkfrac.operators import _core_convolution
+
+        z = np.linspace(1e-3, 2.0, 9)
+        terms = _ml_kernel_terms(0.4, -1.5, 2.0)
+        for sigma in (-0.5, 0.0, 0.7):
+            ref = np.zeros_like(z)
+            for coef, e in terms:
+                ref += coef * math.exp(
+                    log_gamma(e) + log_gamma(sigma + 1.0) - log_gamma(e + sigma + 1.0)
+                ) * z ** (e + sigma)
+            assert np.array_equal(_core_convolution(terms, sigma, z), ref)
 
 
 class TestPowerRuleAnalytic:

@@ -103,6 +103,13 @@ class TestML2:
         with pytest.raises(DomainError):
             ml2(MLQuery(0.5, 1.0, 2.1), x_max=2.0)
 
+    def test_refuses_nan(self):
+        # |nan| > x_max is false: NaN must be refused, not summed to the term cap
+        with pytest.raises(DomainError, match="series regime"):
+            ml2(MLQuery(0.5, 1.0, math.nan))
+        with pytest.raises(DomainError, match="series regime"):
+            ml2(MLQuery(0.5, 1.0, np.r_[np.linspace(-1.0, 1.0, 100), math.nan]))
+
     def test_refuses_overflowing_terms(self):
         with pytest.raises(DomainError, match="series regime"):
             ml2(MLQuery(0.2, 1.0, 49.0))
@@ -178,7 +185,12 @@ class TestMLKS:
 
     @pytest.mark.parametrize(
         "x,kw,error",
-        [(51.0, {}, DomainError), (-40.0, {}, DomainError), (10.0, {"max_terms": 20}, ConvergenceError)],
+        [
+            (51.0, {}, DomainError),
+            (-40.0, {}, DomainError),
+            (10.0, {"max_terms": 20}, ConvergenceError),
+            (math.nan, {}, DomainError),
+        ],
     )
     def test_array_refuses_like_the_scalar_call(self, x, kw, error):
         q = KSQuery(0.9, 1.2, 0.8, x)
