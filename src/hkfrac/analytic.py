@@ -98,11 +98,12 @@ def homogeneous_solution(spec: LinearProblemSpec, x):
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def _ml_kernel_terms(alpha: float, lam: float, z_top: float, tol: float = 1e-18) -> tuple:
+def _ml_kernel_terms(alpha: float, lam: float, z_top: float) -> tuple:
     """Termwise expansion of w^(alpha-1) E_{alpha,alpha}(lam w^alpha).
 
     Term k contributes lam^k / Gamma(alpha(k+1)) * w^(alpha(k+1)-1); the
-    expansion is truncated once the largest panel contribution is negligible.
+    expansion is truncated once a term's largest contribution on [0, z_top]
+    falls to 1e-18 of the first term's.
     """
     es = alpha * np.arange(1.0, 301.0)
     neg_log_gammas = -log_gamma(es)
@@ -114,16 +115,16 @@ def _ml_kernel_terms(alpha: float, lam: float, z_top: float, tol: float = 1e-18)
         terms.append((coef, e))
         if first_scale is None:
             first_scale = max(scale, 1e-300)
-        if k >= 2 and scale <= tol * first_scale:
+        if k >= 2 and scale <= 1e-18 * first_scale:
             break
     return tuple(terms)
 
 
-def linear_solution(spec: LinearProblemSpec, x: float, *, n: int = 2048,
-                    grading: Optional[float] = None) -> float:
+def linear_solution(spec: LinearProblemSpec, x: float) -> float:
     """Pointwise solution of the linear problem, source integral by quadrature.
 
-    ``n``/``grading`` size the internal product-integration mesh on [a, x].
+    The source integral runs on a 2048-node mesh over [a, x] with the
+    default grading.
     """
     params = spec.params
     x = float(x)
@@ -132,7 +133,7 @@ def linear_solution(spec: LinearProblemSpec, x: float, *, n: int = 2048,
     if spec.source is None:
         return float(hom)
     sub = HKParams(params.alpha, params.beta, params.rho, params.a, x)
-    grid = make_graded_grid(sub, n, grading)
+    grid = make_graded_grid(sub, 2048)
     f = GridFn.from_x_function(grid, spec.source)
     terms = _ml_kernel_terms(params.alpha, spec.lam, grid.nodes_z[-1])
     return float(hom + _kernel_apply_left(f, terms)[-1])

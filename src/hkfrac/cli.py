@@ -14,7 +14,7 @@ The problem config is a flat key = value text file; ``#`` starts a comment.
 Keys: alpha, beta, rho (number or "hadamard"), a, b, c, lambda, source
 (an expression over x and z), xi (optional; switches the right-hand side to
 lambda * z^xi * phi), n, grading, tol, max_iters, lipschitz.  Unknown keys
-are rejected.  Example::
+and non-finite numbers are rejected.  Example::
 
     alpha = 0.5
     beta = 0
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -103,6 +104,10 @@ def parse_config_text(text: str) -> dict:
                 raise ValidationError(
                     f"config line {lineno}: key {key!r} needs a number (got {value!r})"
                 ) from None
+            if not math.isfinite(number):
+                raise ValidationError(
+                    f"config line {lineno}: key {key!r} needs a finite number (got {value!r})"
+                )
             if key in _INT_KEYS:
                 if number != int(number):
                     raise ValidationError(f"config line {lineno}: key {key!r} needs an integer")

@@ -71,14 +71,16 @@ class HKParams:
             if not self.a > 0.0:
                 raise ValidationError(f"a must satisfy a > 0 in Hadamard mode (got {self.a})")
         else:
-            if not self.rho > 0.0:
-                raise ValidationError(f"rho must satisfy rho > 0 (got {self.rho})")
+            if not 0.0 < self.rho < math.inf:
+                raise ValidationError(f"rho must satisfy rho > 0 and be finite (got {self.rho})")
             if self.a < 0.0 or (self.a == 0.0 and self.rho < 1.0):
                 raise ValidationError(
                     f"a must satisfy a > 0 (a = 0 only with rho >= 1) (got a={self.a}, rho={self.rho})"
                 )
-        if not self.a < self.b:
-            raise ValidationError(f"endpoints must satisfy a < b (got a={self.a}, b={self.b})")
+        if not self.a < self.b < math.inf:
+            raise ValidationError(
+                f"endpoints must satisfy a < b with b finite (got a={self.a}, b={self.b})"
+            )
 
     @property
     def gamma(self) -> float:
@@ -224,7 +226,7 @@ def make_graded_grid(params: HKParams, n: int, grading: Union[float, None] = Non
         raise ValidationError(f"grid size must satisfy n >= 1 (got {n})")
     if grading is None:
         grading = max(1.0, 2.0 / params.alpha)
-    if grading < 1.0:
+    if not grading >= 1.0:
         raise ValidationError(f"grading must satisfy grading >= 1 (got {grading})")
     z_top = _z_top_raw(params)
     s = np.arange(1, n + 1, dtype=float) / n
@@ -331,7 +333,7 @@ def weighted_norm(f: GridFn, w: Union[WeightExponent, float]) -> float:
     mu = w.mu if isinstance(w, WeightExponent) else WeightExponent(float(w)).mu
     exponent = mu + f.sigma
     if exponent == 0.0:
-        return float(np.max(np.abs(f.regular_values))) if f.grid.n else 0.0
+        return float(np.max(np.abs(f.regular_values)))
     return float(np.max(np.abs(f.grid.nodes_z**exponent * f.regular_values)))
 
 

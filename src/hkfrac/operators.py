@@ -174,17 +174,7 @@ def _kernel_apply_left(f: GridFn, terms: KernelTerms) -> np.ndarray:
     return core + W @ residual
 
 
-def _resolve_method(f: GridFn, method: str) -> str:
-    if method not in ("auto", "analytic", "quadrature"):
-        raise ValidationError(f"unknown method {method!r}")
-    if method == "auto":
-        return "analytic" if f.is_pure_power else "quadrature"
-    if method == "analytic" and not f.is_pure_power:
-        raise ValidationError("analytic path requires a pure power (constant regular part)")
-    return method
-
-
-def gfi_left(f: GridFn, order: float, *, method: str = "auto") -> GridFn:
+def gfi_left(f: GridFn, order: float) -> GridFn:
     """Left-sided generalized fractional integral of positive order.
 
     Pure powers map through the closed-form power rule (output keeps the
@@ -193,15 +183,14 @@ def gfi_left(f: GridFn, order: float, *, method: str = "auto") -> GridFn:
     """
     if not order > 0.0:
         raise ValidationError(f"integral order must satisfy order > 0 (got {order})")
-    if _resolve_method(f, method) == "analytic":
+    if f.is_pure_power:
         if f.sigma <= -1.0:
             raise ValidationError(
                 f"singular exponent must satisfy sigma > -1 for integrability (got {f.sigma})"
             )
         coef = gamma_ratio(f.sigma + 1.0, f.sigma + 1.0 + order)
         return GridFn(f.grid, _snap_exponent(f.sigma + order), f.regular_values * coef)
-    values = _kernel_apply_left(f, _plain_kernel(order))
-    return GridFn(f.grid, 0.0, values)
+    return GridFn(f.grid, 0.0, _kernel_apply_left(f, _plain_kernel(order)))
 
 
 def gfi_right(f: GridFn, order: float) -> GridFn:
@@ -246,14 +235,14 @@ def _dz_derivative(f: GridFn) -> GridFn:
     return GridFn(grid, 0.0, dvds / dzds)
 
 
-def gfd(f: GridFn, order: float, *, method: str = "auto") -> GridFn:
+def gfd(f: GridFn, order: float) -> GridFn:
     """Generalized fractional derivative D^order = delta_rho J^(1-order)."""
     if not 0.0 < order < 1.0:
         raise ValidationError(f"derivative order must satisfy 0 < order < 1 (got {order})")
-    return _dz_derivative(gfi_left(f, 1.0 - order, method=method))
+    return _dz_derivative(gfi_left(f, 1.0 - order))
 
 
-def hk_derivative(f: GridFn, *, method: str = "auto") -> GridFn:
+def hk_derivative(f: GridFn) -> GridFn:
     """The derivative of order alpha and type beta of the grid's parameters.
 
     Composed literally as J^(beta(1-alpha)) . delta_rho . J^((1-beta)(1-alpha));
@@ -263,9 +252,9 @@ def hk_derivative(f: GridFn, *, method: str = "auto") -> GridFn:
     params = f.grid.params
     o_inner = (1.0 - params.beta) * (1.0 - params.alpha)
     o_outer = params.beta * (1.0 - params.alpha)
-    g = gfi_left(f, o_inner, method=method) if o_inner > 0.0 else f
+    g = gfi_left(f, o_inner) if o_inner > 0.0 else f
     g = _dz_derivative(g)
-    return gfi_left(g, o_outer, method=method) if o_outer > 0.0 else g
+    return gfi_left(g, o_outer) if o_outer > 0.0 else g
 
 
 def power_rule_analytic(xi: float, order: float, params: HKParams, x):
@@ -298,19 +287,19 @@ def boundary_coefficient(f: GridFn, order: float) -> float:
     )
 
 
-def reconstruct(f: GridFn, order: float, *, method: str = "auto") -> tuple[GridFn, float]:
+def reconstruct(f: GridFn, order: float) -> tuple[GridFn, float]:
     """J^order (D^order f) together with the boundary coefficient (J^(1-order) f)(a).
 
     The two satisfy J^order D^order f = f - coeff/Gamma(order) * z^(order-1),
     which the verification suite exercises.
     """
     coeff = boundary_coefficient(f, order)
-    derivative = gfd(f, order, method=method)
+    derivative = gfd(f, order)
     if derivative.sigma == 0.0 and not derivative.is_pure_power:
         # D^order f carries a z^(-order) leading behavior whenever the
         # boundary term is active; re-expressing with that exponent lets the
         # integral's singular-core subtraction see it instead of cancelling
         # two huge absorbed values.
         derivative = GridFn.from_values(f.grid, derivative.values, sigma=-order)
-    part = gfi_left(derivative, order, method=method)
+    part = gfi_left(derivative, order)
     return part, coeff

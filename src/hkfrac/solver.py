@@ -16,9 +16,10 @@ The integral operator is a contraction on a subinterval (a, x_1] once
     w_1 = A Gamma(gamma)/Gamma(alpha+gamma) z(x_1)^alpha < 1,
 
 where A is a Lipschitz constant of f in its second argument; the solver
-splits (a, b] greedily into subintervals whose factors stay at a target
-theta < 1, iterates each to tolerance in the weighted norm, freezes it, and
-folds the frozen history integral into the next subinterval's fixed part.
+splits (a, b] greedily into subintervals whose factors stay at the fixed
+target theta = 0.5, iterates each to tolerance in the weighted norm, freezes
+it, and folds the frozen history integral into the next subinterval's fixed
+part.
 
 Iterates are stored as grid functions with sigma = gamma - 1 so the singular
 factor is carried analytically (the fixed point has exactly this form); only
@@ -49,6 +50,9 @@ __all__ = [
     "lipschitz_estimate",
     "picard_solve",
 ]
+
+# Target contraction factor of each subinterval in the greedy splitting.
+_THETA = 0.5
 
 
 @dataclass(frozen=True)
@@ -102,13 +106,12 @@ class CauchyProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Grid size, grading, stopping tolerance and splitting target."""
+    """Grid size, grading, stopping tolerance and sweep cap."""
 
     n: int = 512
     grading: Optional[float] = None
     tol: float = 1e-8
     max_iters: int = 200
-    theta: float = 0.5
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -116,8 +119,8 @@ class SolverConfig:
             raise ValidationError(f"solver grid must satisfy n >= 8 (got {self.n})")
         if not self.tol > 0.0:
             raise ValidationError(f"tol must satisfy tol > 0 (got {self.tol})")
-        if not 0.0 < self.theta < 1.0:
-            raise ValidationError(f"theta must satisfy 0 < theta < 1 (got {self.theta})")
+        if not (self.grading is None or self.grading >= 1.0):
+            raise ValidationError(f"grading must satisfy grading >= 1 (got {self.grading})")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must satisfy max_iters >= 1 (got {self.max_iters})")
 
@@ -157,19 +160,17 @@ def contraction_factor(A: float, params: HKParams, x1: float) -> float:
     return A * gamma_ratio(g, params.alpha + g) * z1**params.alpha
 
 
-def lipschitz_estimate(problem: CauchyProblem, samples: int = 200) -> float:
+def lipschitz_estimate(problem: CauchyProblem) -> float:
     """Sampled Lipschitz constant of f(x, .), inflated by a 1.5 safety factor.
 
     For right-hand sides with a known linear coefficient the exact constant
     is returned instead.
     """
-    if samples < 100:
-        raise ValidationError(f"samples must satisfy samples >= 100 (got {samples})")
     if problem.linear_coeff is not None:
         return float(problem.linear_coeff)
     params = problem.params
     n_phi = 13
-    n_x = max(16, samples // n_phi)
+    n_x = 16
     z_top = params.z_top
     zs = z_top * (np.arange(1, n_x + 1) / n_x) ** 2.0
     xs = x_of_z(params, zs)
@@ -188,15 +189,15 @@ def lipschitz_estimate(problem: CauchyProblem, samples: int = 200) -> float:
     return 1.5 * worst
 
 
-def _snap_breakpoints(grid: Grid, A: float, config: SolverConfig) -> tuple[list, list]:
+def _snap_breakpoints(grid: Grid, A: float) -> tuple[list, list]:
     """Greedy subinterval end indices on the grid, with their actual factors."""
     params = grid.params
     z = grid.nodes_z
     n = grid.n
     coef = A * gamma_ratio(params.gamma, params.alpha + params.gamma)
-    if A == 0.0 or coef * z[-1] ** params.alpha <= config.theta:
+    if A == 0.0 or coef * z[-1] ** params.alpha <= _THETA:
         return [n], [coef * z[-1] ** params.alpha]
-    dz = (config.theta / coef) ** (1.0 / params.alpha)
+    dz = (_THETA / coef) ** (1.0 / params.alpha)
     ends = []
     factors = []
     start = 0  # number of frozen nodes; subinterval is z[start:end]
@@ -205,7 +206,6 @@ def _snap_breakpoints(grid: Grid, A: float, config: SolverConfig) -> tuple[list,
         end = int(np.searchsorted(z, z_start + dz, side="right"))
         if end <= start:
             end = start + 1  # a single panel longer than dz: take it, verify below
-        end = min(end, n)
         w = coef * (z[end - 1] - z_start) ** params.alpha
         if w >= 1.0:
             raise ConvergenceError(
@@ -246,7 +246,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     reg = np.full(n, phi0_reg)
 
     try:
-        ends, factors = _snap_breakpoints(grid, A, config)
+        ends, factors = _snap_breakpoints(grid, A)
     except ConvergenceError as err:
         err.report = SolveReport(
             solution=GridFn(grid, g - 1.0, reg.copy()),
@@ -297,7 +297,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             v = np.concatenate(([0.0], f_vals - fr1 * z_pow_dn[:end]))
             integral = fr1 * core_shape[start:end] + W[start:end, : end + 1] @ v
             new_reg = phi0_reg + z_pow_up[start:end] * integral
-            residual = float(np.max(np.abs(new_reg - reg[start:end]))) if end > start else 0.0
+            residual = float(np.max(np.abs(new_reg - reg[start:end])))
             if not math.isfinite(residual):
                 # a non-finite rhs value poisons every node through W
                 bad = ~np.isfinite(f_vals)

@@ -18,8 +18,9 @@ Every argument of an array is summed with its own stopping point, so an
 array gives bit for bit the values of the per-element calls.
 
 Everything here is a pure function of its arguments; evaluation is
-series-only over a guarded argument range (``x_max``), which keeps the
-implementations provably convergent where the package actually uses them.
+series-only over the fixed guard range |x| <= ``SERIES_X_MAX`` = 50 with at
+most ``SERIES_MAX_TERMS`` = 10,000 terms, which keeps the implementations
+provably convergent where the package actually uses them.
 Complex arguments and negative gamma arguments are out of scope.
 
 The series accumulate in 80-bit extended precision (``np.longdouble``) so the
@@ -50,7 +51,7 @@ __all__ = [
     "SERIES_MAX_TERMS",
 ]
 
-# Default guard rails for the series evaluators.
+# Guard rails for the series evaluators.
 SERIES_X_MAX = 50.0
 SERIES_MAX_TERMS = 10000
 
@@ -192,8 +193,7 @@ def _finish(total: np.ndarray, abssum: np.ndarray, what: str) -> np.ndarray:
     return total.astype(float)
 
 
-def _power_series(log_coef_chunks, x, start: int, at_zero: float, what: str,
-                  x_max: float, max_terms: int):
+def _power_series(log_coef_chunks, x, start: int, at_zero: float, what: str):
     """sum_k c_k x^k for a float or an ndarray x, from the logs of c_k.
 
     ``log_coef_chunks(ks_chunks)`` yields ln c_k for each successive chunk of
@@ -202,14 +202,15 @@ def _power_series(log_coef_chunks, x, start: int, at_zero: float, what: str,
     its own first term with k >= 1 and |t_k| <= SERIES_EPS |partial sum|.
     """
     xa = np.asarray(x, dtype=float)
-    outside = ~(np.abs(xa) <= x_max)  # NaN is outside too
+    outside = ~(np.abs(xa) <= SERIES_X_MAX)  # NaN is outside too
     if np.any(outside):
         raise DomainError(
-            f"series regime exceeded: x = {xa[outside].flat[0]} is outside |x| <= x_max = {x_max}"
+            f"series regime exceeded: x = {xa[outside].flat[0]} is outside |x| <= {SERIES_X_MAX}"
         )
     flat = xa.reshape(-1)
     out = np.full(flat.shape, at_zero)
-    ks_chunks = [np.arange(k, min(k + _CHUNK, max_terms)) for k in range(start, max_terms, _CHUNK)]
+    ks_chunks = [np.arange(k, min(k + _CHUNK, SERIES_MAX_TERMS))
+                 for k in range(start, SERIES_MAX_TERMS, _CHUNK)]
     head = np.longdouble(at_zero if start else 0.0)
     nonzero = np.flatnonzero(flat)
     for b in range(0, nonzero.size, _BLOCK):
@@ -236,7 +237,7 @@ def _power_series(log_coef_chunks, x, start: int, at_zero: float, what: str,
                 break
         if rows.size:
             raise ConvergenceError(
-                f"{what} series did not converge within {max_terms} terms "
+                f"{what} series did not converge within {SERIES_MAX_TERMS} terms "
                 f"(x={flat[idx[rows[0]]]})"
             )
         out[idx] = _finish(total, abssum, what)
@@ -244,14 +245,14 @@ def _power_series(log_coef_chunks, x, start: int, at_zero: float, what: str,
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def ml2(q: MLQuery, *, x_max: float = SERIES_X_MAX, max_terms: int = SERIES_MAX_TERMS):
+def ml2(q: MLQuery):
     """E_{alpha,beta}(x) by its power series; a float x gives a float, an ndarray an ndarray.
 
     The running sum accumulates in extended precision (the compensated-
     summation contract: the accumulator never loses double-scale digits; for
     x < 0 the terms alternate in sign).  Truncation, per argument:
-    |term| <= 1e-16 |partial sum|, with a hard cap of ``max_terms`` terms.
-    Arguments beyond ``x_max``, and NaN, are refused -- the series evaluator
+    |term| <= 1e-16 |partial sum|, with a hard cap of ``SERIES_MAX_TERMS`` terms.
+    Arguments beyond ``SERIES_X_MAX``, and NaN, are refused -- the series evaluator
     is not meant for the asymptotic regime.  An array is refused as a whole when
     any one of its arguments would be.
     """
@@ -261,13 +262,12 @@ def ml2(q: MLQuery, *, x_max: float = SERIES_X_MAX, max_terms: int = SERIES_MAX_
         for ks in ks_chunks:
             yield -_lanczos_log_gamma(alpha * ks + beta)
 
-    return _power_series(log_coefs, q.x, 0, math.exp(-log_gamma(q.beta)),
-                         "Mittag-Leffler", x_max, max_terms)
+    return _power_series(log_coefs, q.x, 0, math.exp(-log_gamma(q.beta)), "Mittag-Leffler")
 
 
-def ml1(alpha: float, x, *, x_max: float = SERIES_X_MAX, max_terms: int = SERIES_MAX_TERMS):
+def ml1(alpha: float, x):
     """One-parameter Mittag-Leffler function E_alpha(x) = E_{alpha,1}(x)."""
-    return ml2(MLQuery(alpha, 1.0, x), x_max=x_max, max_terms=max_terms)
+    return ml2(MLQuery(alpha, 1.0, x))
 
 
 def _ks_check_gamma_args(args: np.ndarray, what: str) -> None:
@@ -283,7 +283,7 @@ def _ks_check_gamma_args(args: np.ndarray, what: str) -> None:
     )
 
 
-def ml_ks(q: KSQuery, *, x_max: float = SERIES_X_MAX, max_terms: int = SERIES_MAX_TERMS):
+def ml_ks(q: KSQuery):
     """Kilbas-Saigo function E_{alpha,l,m}(x) = sum_k c_k x^k; float or ndarray x as in :func:`ml2`.
 
     The gamma-ratio product c_k is accumulated incrementally in log space via
@@ -303,4 +303,4 @@ def ml_ks(q: KSQuery, *, x_max: float = SERIES_X_MAX, max_terms: int = SERIES_MA
             log_c = log_cs[-1]
             yield log_cs
 
-    return _power_series(log_coefs, q.x, 1, 1.0, "Kilbas-Saigo", x_max, max_terms)
+    return _power_series(log_coefs, q.x, 1, 1.0, "Kilbas-Saigo")

@@ -33,7 +33,7 @@ from .frame import GridFn, make_graded_grid, make_params, weighted_norm, z_of_x
 from .sourceexpr import parse_source
 from .specfun import KSQuery, MLQuery, gamma_ratio, log_gamma, ml_ks, ml2
 
-__all__ = ["SUITE_NAMES", "run_suite", "run_all", "all_passed"]
+__all__ = ["SUITE_NAMES", "run_suite", "all_passed"]
 
 _TEST_FAMILY = (
     ("one", lambda u: np.ones_like(u)),
@@ -51,6 +51,11 @@ def _record(suite: str, case: str, error: float, tolerance: float, ok=None) -> d
         "tolerance": float(tolerance),
         "passed": passed,
     }
+
+
+def _quadrature(f: GridFn, order: float) -> GridFn:
+    """J^order f by product integration, pure powers included."""
+    return GridFn(f.grid, 0.0, ops._kernel_apply_left(f, ops._plain_kernel(order)))
 
 
 def _load_golden() -> dict:
@@ -75,7 +80,7 @@ def run_power_rule() -> list:
                 for n in (512, 1024):
                     grid = make_graded_grid(params, n, grading)
                     f = GridFn(grid, 0.0, grid.nodes_z ** (xi - 1.0))
-                    num = ops.gfi_left(f, alpha, method="quadrature").values
+                    num = _quadrature(f, alpha).values
                     exact = gamma_ratio(xi, alpha + xi) * grid.nodes_z ** (alpha + xi - 1.0)
                     errs[n] = float(np.max(np.abs(num - exact)) / np.max(np.abs(exact)))
                 tag = f"alpha={alpha} rho={rho} xi={xi}"
@@ -102,9 +107,8 @@ def run_semigroup() -> list:
             grid = make_graded_grid(params, n, max(1.0, 2.0 / min(alpha, beta_o)))
             for name, fn in _TEST_FAMILY:
                 f = GridFn.from_z_function(grid, fn)
-                lhs = ops.gfi_left(ops.gfi_left(f, beta_o, method="quadrature"),
-                                   alpha, method="quadrature")
-                rhs = ops.gfi_left(f, alpha + beta_o, method="quadrature")
+                lhs = _quadrature(_quadrature(f, beta_o), alpha)
+                rhs = _quadrature(f, alpha + beta_o)
                 err = weighted_norm(lhs - rhs, 0.0) / weighted_norm(rhs, 0.0)
                 records.append(
                     _record("semigroup", f"a={alpha} b={beta_o} f={name}", err, 5e-4)
@@ -149,15 +153,8 @@ def _geometric_certificate(report: solver.SolveReport) -> float:
     return worst
 
 
-def run_picard(parts: tuple = ("closed-form", "series", "golden")) -> list:
-    records = []
-    if "closed-form" in parts:
-        records.extend(_picard_closed_form())
-    if "series" in parts:
-        records.extend(_picard_iterate_series())
-    if "golden" in parts:
-        records.extend(_picard_golden())
-    return records
+def run_picard() -> list:
+    return _picard_closed_form() + _picard_iterate_series() + _picard_golden()
 
 
 def _picard_closed_form() -> list:
@@ -311,7 +308,7 @@ def run_limits() -> list:
     params = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
     grid = make_graded_grid(params, 512, 4.0)
     f = GridFn(grid, 0.0, grid.nodes_z**0.7)
-    num = ops.gfi_left(f, 0.5, method="quadrature").values
+    num = _quadrature(f, 0.5).values
     exact = gamma_ratio(1.7, 2.2) * grid.nodes_z**1.2
     err = float(np.max(np.abs(num - exact)) / np.max(np.abs(exact)))
     records.append(_record("limits", "RL quadrature alpha=0.5 xi=1.7", err, 1e-4))
@@ -342,10 +339,6 @@ def run_suite(name: str) -> list:
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}") from None
     return fn()
-
-
-def run_all() -> dict:
-    return {name: fn() for name, fn in SUITES.items()}
 
 
 def all_passed(records: list) -> bool:

@@ -42,7 +42,7 @@ def test_criterion_3_inversion_suite():
 
 def test_criterion_4_picard_vs_closed_form():
     t0 = time.time()
-    records = verify.run_picard(parts=("closed-form",))
+    records = verify._picard_closed_form()
     _check(4, "Picard solver vs closed-form solution + decay certificate",
            records, time.time() - t0, 60.0)
 
@@ -74,5 +74,15 @@ def test_criterion_7_special_function_spot_values():
 
 def test_criterion_8_picard_iterate_series_match():
     t0 = time.time()
-    records = verify.run_picard(parts=("series",))
+    records = verify._picard_iterate_series()
     _check(8, "solver iterates match the truncated series", records, time.time() - t0, 10.0)
+
+
+def test_picard_suite_runs_all_three_parts():
+    records = verify.run_picard()
+    cases = [r["case"] for r in records]
+    assert len(records) == 49
+    assert sum("closed-form gap" in c or "geometric decay" in c for c in cases) == 36
+    assert sum(c.startswith("iterate-series") for c in cases) == 12
+    assert sum(c.startswith("linear golden") for c in cases) == 1
+    assert verify.all_passed(records)

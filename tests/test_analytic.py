@@ -73,7 +73,7 @@ class TestLinearSolution:
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
         spec = LinearProblemSpec(p, 0.0, 0.5, source=lambda x: np.cos(x))
         grid = make_graded_grid(p, 1024)
-        j = gfi_left(GridFn.from_x_function(grid, lambda x: np.cos(x)), 0.5, method="quadrature")
+        j = gfi_left(GridFn.from_x_function(grid, lambda x: np.cos(x)), 0.5)
         i = 700
         x = float(grid.nodes_x[i])
         z = grid.nodes_z[i]
@@ -99,7 +99,7 @@ class TestLinearSolution:
         rhs_vals = -phi.values + np.sqrt(grid.nodes_x)
         rhs = GridFn.from_values(grid, rhs_vals, sigma=p.gamma - 1.0)
         free = GridFn.constant(grid, 1.0 / math.gamma(p.gamma), sigma=p.gamma - 1.0)
-        residual = phi - (free + gfi_left(rhs, 0.6, method="quadrature"))
+        residual = phi - (free + gfi_left(rhs, 0.6))
         assert weighted_norm(residual, 1.0 - p.gamma) <= 5e-4
 
 

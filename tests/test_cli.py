@@ -196,6 +196,31 @@ class TestConfigParsing:
         with pytest.raises(ValidationError, match="integer"):
             cli.parse_config_text("alpha=.5\nbeta=0\nrho=1\na=1\nb=2\nc=0\nn = 12.5\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "n = inf",
+            "max_iters = inf",
+            "grading = 0.5",
+            "grading = nan",
+            "b = inf",
+            "tol = inf",
+            "lambda = inf",
+            "c = nan",
+        ],
+    )
+    def test_bad_number_is_a_config_error(self, tmp_path, capsys, line):
+        key = line.split("=")[0].strip()
+        kept = [l for l in HOMOGENEOUS_CONFIG.splitlines() if l.split("=")[0].strip() != key]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("\n".join(kept + [line]) + "\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"key {key!r}" in err or f"{key} must satisfy" in err
+        assert not out.exists()
+
     def test_bad_source_expression_is_a_config_error(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(HOMOGENEOUS_CONFIG.replace("source = 0", "source = 2 +* x"))

@@ -39,6 +39,8 @@ class TestParams:
             (dict(alpha=0.5, beta=0.0, rho=1.0, a=2.0, b=2.0), "a < b"),
             (dict(alpha=0.5, beta=0.0, rho="hadamard", a=0.0, b=2.0), "a > 0"),
             (dict(alpha=0.5, beta=0.0, rho="weird", a=1.0, b=2.0), "hadamard"),
+            (dict(alpha=0.5, beta=0.0, rho=math.inf, a=1.0, b=2.0), "rho > 0 and be finite"),
+            (dict(alpha=0.5, beta=0.0, rho=1.0, a=1.0, b=math.inf), "b finite"),
         ],
     )
     def test_validation_names_the_bound(self, kwargs, fragment):
@@ -148,6 +150,8 @@ class TestGrids:
             make_graded_grid(p, 0)
         with pytest.raises(ValidationError):
             make_graded_grid(p, 16, 0.5)
+        with pytest.raises(ValidationError, match="grading"):
+            make_graded_grid(p, 16, math.nan)
 
     def test_rejects_nodes_off_the_grading_law(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)

@@ -250,9 +250,19 @@ class TestLeftIntegral:
         p = make_params(0.3, 0.0, 2.0, 1.0, 2.0)
         g = make_graded_grid(p, 512, max(1.0, 2.0 / 0.3))
         f = GridFn(g, 0.7, np.ones(g.n))
-        num = gfi_left(f, 0.3, method="quadrature").values
+        num = gfi_left(f, 0.3).values
         exact = gamma_ratio(1.7, 2.0) * g.nodes_z
         assert np.max(np.abs(num - exact)) / np.max(np.abs(exact)) <= 1e-4
+
+    def test_sigma_carried_regular_part_quadrature(self):
+        # z^0.7 (1 + z) has a non-constant regular part, so it goes through W
+        p = make_params(0.3, 0.0, 2.0, 1.0, 2.0)
+        g = make_graded_grid(p, 512, max(1.0, 2.0 / 0.3))
+        z = g.nodes_z
+        out = gfi_left(GridFn(g, 0.7, 1.0 + z), 0.3)
+        exact = rl_power(1.7, 0.3, z) + rl_power(2.7, 0.3, z)
+        assert out.sigma == 0.0
+        assert np.max(np.abs(out.values - exact)) / np.max(np.abs(exact)) <= 1e-4
 
     @pytest.mark.parametrize("alpha,rho,xi", [(0.5, 1.0, 1.7), (0.3, 0.5, 2.5), (0.9, 2.0, 1.7)])
     def test_quadrature_converges_at_order_three_halves(self, alpha, rho, xi):
@@ -261,7 +271,7 @@ class TestLeftIntegral:
         for n in (256, 512):
             g = make_graded_grid(p, n, max(1.0, 2.0 / alpha))
             f = GridFn(g, 0.0, g.nodes_z ** (xi - 1.0))
-            num = gfi_left(f, alpha, method="quadrature").values
+            num = gfi_left(f, alpha).values
             exact = gamma_ratio(xi, alpha + xi) * g.nodes_z ** (alpha + xi - 1.0)
             errs.append(np.max(np.abs(num - exact)) / np.max(np.abs(exact)))
         assert errs[0] / errs[1] >= 2.0**1.5
@@ -273,10 +283,6 @@ class TestLeftIntegral:
             gfi_left(GridFn.constant(g, 1.0), 0.0)
         with pytest.raises(ValidationError):
             gfi_left(GridFn.constant(g, 1.0, sigma=-1.0), 0.5)
-        with pytest.raises(ValidationError):
-            gfi_left(GridFn.from_z_function(g, lambda u: u), 0.5, method="analytic")
-        with pytest.raises(ValidationError):
-            gfi_left(GridFn.constant(g, 1.0), 0.5, method="bogus")
 
 
 class TestRightIntegral:
@@ -305,7 +311,7 @@ class TestRightIntegral:
         f = GridFn.from_x_function(g, lambda x: np.exp(x))
         right = gfi_right(f, 0.6).values
         reflected = GridFn.from_x_function(g, lambda x: np.exp(3.0 - x))
-        left = gfi_left(reflected, 0.6, method="quadrature").values
+        left = gfi_left(reflected, 0.6).values
         got = right[:-1]
         expected = left[::-1][1:]
         assert np.max(np.abs(got - expected)) / np.max(np.abs(got)) <= 1e-3
@@ -330,7 +336,7 @@ class TestGeneralizedDerivative:
         p = make_params(alpha, 0.0, 1.5, 1.0, 2.0)
         g = make_graded_grid(p, 1024)
         smooth = GridFn.from_z_function(g, lambda u: np.exp(u) - 1.0)
-        back = gfd(gfi_left(smooth, alpha, method="quadrature"), alpha, method="quadrature")
+        back = gfd(gfi_left(smooth, alpha), alpha)
         w = 1.0 - p.gamma
         assert weighted_norm(back - smooth, w) / weighted_norm(smooth, w) <= 1e-3
 
@@ -373,8 +379,8 @@ class TestSemigroup:
         g = make_graded_grid(p, 1024, max(1.0, 2.0 / min(a, b)))
         for fn in (lambda u: np.ones_like(u), lambda u: u, lambda u: np.exp(u) - 1.0):
             f = GridFn.from_z_function(g, fn)
-            lhs = gfi_left(gfi_left(f, b, method="quadrature"), a, method="quadrature")
-            rhs = gfi_left(f, a + b, method="quadrature")
+            lhs = gfi_left(gfi_left(f, b), a)
+            rhs = gfi_left(f, a + b)
             assert weighted_norm(lhs - rhs, 0.0) / weighted_norm(rhs, 0.0) <= 5e-4
 
 
@@ -387,7 +393,7 @@ class TestBoundaryBehavior:
         for n in (128, 256, 512):
             g = make_graded_grid(p, n)
             f = GridFn.constant(g, 1.0, sigma=-gw)
-            first = abs(gfi_left(f, alpha, method="quadrature").values[0])
+            first = abs(gfi_left(f, alpha).values[0])
             bound = gamma_ratio(1.0 - gw, alpha - gw + 1.0) * g.nodes_z[0] ** (alpha - gw)
             assert first <= bound * 1.05
             if previous is not None:

@@ -56,12 +56,6 @@ class TestLipschitzEstimate:
         estimate = lipschitz_estimate(prob)
         assert 0.0 < estimate <= 1.5
 
-    def test_sample_count_validation(self):
-        p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
-        prob = CauchyProblem(p, lambda x, phi: np.sin(phi), 1.0)
-        with pytest.raises(ValidationError):
-            lipschitz_estimate(prob, samples=50)
-
 
 class TestPicardSolve:
     def test_zero_rhs_fixed_point_in_one_sweep(self):
@@ -108,12 +102,16 @@ class TestPicardSolve:
                 assert later <= earlier + 1e-9 / 10.0
 
     def test_solution_invariant_under_splitting_target(self):
+        # the splitting sees theta only through theta / A: with the fixed
+        # theta = 0.5, A = 1, 5/3 and 2.5 split as theta = 0.5, 0.3 and 0.2 do
         p = make_params(0.5, 0.5, 1.0, 1.0, 2.0)
-        prob = CauchyProblem.linear(p, -1.0, None, 1.0)
-        regs = [
-            picard_solve(prob, SolverConfig(n=256, tol=1e-10, theta=theta)).solution.regular_values
-            for theta in (0.3, 0.5, 0.7)
+        rhs = CauchyProblem.linear(p, -1.0, None, 1.0).rhs
+        reports = [
+            picard_solve(CauchyProblem(p, rhs, 1.0, lipschitz=A), SolverConfig(n=256, tol=1e-10))
+            for A in (1.0, 5.0 / 3.0, 2.5)
         ]
+        assert len({len(r.iterations) for r in reports}) == 3
+        regs = [r.solution.regular_values for r in reports]
         worst = max(np.max(np.abs(a - b)) for a in regs for b in regs)
         assert worst <= 1e-6
 
@@ -184,8 +182,10 @@ class TestPicardSolve:
             SolverConfig(n=4)
         with pytest.raises(ValidationError):
             SolverConfig(tol=0.0)
-        with pytest.raises(ValidationError):
-            SolverConfig(theta=1.0)
+        with pytest.raises(ValidationError, match="grading"):
+            SolverConfig(grading=0.5)
+        with pytest.raises(ValidationError, match="grading"):
+            SolverConfig(grading=math.nan)
         with pytest.raises(ValidationError):
             SolverConfig(max_iters=0)
 

@@ -13,7 +13,17 @@ import numpy as np
 import pytest
 
 from hkfrac.errors import ConvergenceError, DomainError, ValidationError
-from hkfrac.specfun import SERIES_X_MAX, KSQuery, MLQuery, gamma_ratio, log_gamma, ml1, ml2, ml_ks
+from hkfrac.specfun import (
+    SERIES_MAX_TERMS,
+    SERIES_X_MAX,
+    KSQuery,
+    MLQuery,
+    gamma_ratio,
+    log_gamma,
+    ml1,
+    ml2,
+    ml_ks,
+)
 
 
 def golden():
@@ -80,12 +90,6 @@ class TestML2:
         vals = [ml2(MLQuery(alpha, beta, float(x))) for x in xs]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
-    def test_term_cap_doubling_is_invariant(self):
-        for q in (MLQuery(0.5, 0.5, 0.3), MLQuery(0.9, 1.3, 10.0)):
-            v1 = ml2(q, max_terms=10000)
-            v2 = ml2(q, max_terms=20000)
-            assert abs(v1 - v2) <= 1e-12 * abs(v1)
-
     @pytest.mark.parametrize("alpha,beta", [(0.9, 1.3), (1.5, 0.7)])
     def test_array_matches_scalar_calls_bit_for_bit(self, alpha, beta):
         # mixed signs, zeros and |x| up to x_max, over more than one block of arguments
@@ -99,9 +103,9 @@ class TestML2:
             ml2(MLQuery(0.5, 1.0, 51.0))
         with pytest.raises(DomainError, match="series regime"):
             ml2(MLQuery(0.5, 1.0, np.r_[np.linspace(-1.0, 1.0, 100), 51.0]))
-        ml2(MLQuery(0.5, 1.0, 2.0), x_max=2.0)  # boundary is allowed
-        with pytest.raises(DomainError):
-            ml2(MLQuery(0.5, 1.0, 2.1), x_max=2.0)
+        assert math.isfinite(ml2(MLQuery(0.9, 1.0, SERIES_X_MAX)))  # boundary is allowed
+        with pytest.raises(DomainError, match="series regime"):
+            ml2(MLQuery(0.9, 1.0, math.nextafter(SERIES_X_MAX, math.inf)))
 
     def test_refuses_nan(self):
         # |nan| > x_max is false: NaN must be refused, not summed to the term cap
@@ -115,10 +119,11 @@ class TestML2:
             ml2(MLQuery(0.2, 1.0, 49.0))
 
     def test_term_cap_raises_convergence_error(self):
+        # at alpha = 1e-6 every term of E(1) is about 1, so no cap is ever enough
+        with pytest.raises(ConvergenceError, match=f"{SERIES_MAX_TERMS} terms"):
+            ml2(MLQuery(1e-6, 1.0, 1.0))
         with pytest.raises(ConvergenceError):
-            ml2(MLQuery(0.5, 1.0, 10.0), max_terms=20)
-        with pytest.raises(ConvergenceError):
-            ml2(MLQuery(0.5, 1.0, np.r_[np.linspace(0.0, 0.1, 100), 10.0]), max_terms=20)
+            ml2(MLQuery(1e-6, 1.0, np.r_[np.linspace(0.0, 0.1, 100), 1.0]))
 
     def test_refuses_catastrophic_cancellation(self):
         with pytest.raises(DomainError, match="cancellation"):
@@ -188,16 +193,17 @@ class TestMLKS:
         [
             (51.0, {}, DomainError),
             (-40.0, {}, DomainError),
-            (10.0, {"max_terms": 20}, ConvergenceError),
+            (1.0, {"alpha": 1e-6}, ConvergenceError),
             (math.nan, {}, DomainError),
         ],
     )
     def test_array_refuses_like_the_scalar_call(self, x, kw, error):
-        q = KSQuery(0.9, 1.2, 0.8, x)
+        # kw overrides fields of the query (alpha, l, m) = (0.9, 1.2, 0.8)
+        fields = {"alpha": 0.9, "l": 1.2, "m": 0.8, **kw}
         with pytest.raises(error):
-            ml_ks(q, **kw)
+            ml_ks(KSQuery(**fields, x=x))
         with pytest.raises(error):
-            ml_ks(KSQuery(0.9, 1.2, 0.8, np.r_[np.linspace(0.0, 0.1, 100), x]), **kw)
+            ml_ks(KSQuery(**fields, x=np.r_[np.linspace(0.0, 0.1, 100), x]))
 
     def test_golden_values(self):
         for entry in golden()["ml_ks"]:
