@@ -124,7 +124,8 @@ def linear_solution(spec: LinearProblemSpec, x: float) -> float:
     """Pointwise solution of the linear problem, source integral by quadrature.
 
     The source integral runs on a 2048-node mesh over [a, x] with the
-    default grading.
+    default grading; only the weights of its last row, the target x, are
+    built.
     """
     params = spec.params
     x = float(x)
@@ -136,7 +137,7 @@ def linear_solution(spec: LinearProblemSpec, x: float) -> float:
     grid = make_graded_grid(sub, 2048)
     f = GridFn.from_x_function(grid, spec.source)
     terms = _ml_kernel_terms(params.alpha, spec.lam, grid.nodes_z[-1])
-    return float(hom + _kernel_apply_left(f, terms)[-1])
+    return float(hom + _kernel_apply_left(f, terms, r0=grid.n - 1)[0])
 
 
 def linear_solution_on_grid(spec: LinearProblemSpec, grid: Grid) -> GridFn:

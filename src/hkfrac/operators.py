@@ -25,6 +25,11 @@ and cached on the grid per kernel.  They are built in fixed blocks of target
 rows over only the panels their rows touch, so building one needs the
 matrix itself plus one block of temporaries (a few block x n arrays).
 
+Every left-sided integral runs through one row-range apply, ``_left_rows``
+(core plus weights on target rows [r0, r1), history and active columns
+apart): the operators ask for all rows, the closed-form oracle for its last
+row alone, the solver for one subinterval's rows.
+
 Pure-power inputs (constant regular part) bypass quadrature entirely via the
 analytic rules, which keeps identities like D^a z^(a-1) = 0 exact rather
 than approximate.
@@ -33,6 +38,7 @@ than approximate.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -69,8 +75,9 @@ def _snap_exponent(sigma: float) -> float:
 _ROW_BLOCK = 32
 
 
-def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarray:
-    """Product-integration weights for the kernel sum_c c * w^(e-1), cached on the grid.
+def _weight_rows(grid: Grid, terms: KernelTerms, left_sided: bool, r0: int, r1: int,
+                 out: np.ndarray) -> np.ndarray:
+    """Rows [r0, r1) of the product-integration weights for the kernel sum_c c * w^(e-1).
 
     Over panel [u_j, u_{j+1}] at kernel distances w_near/w_far from target z_i
     (the near endpoint is u_{j+1} on the left side, u_j on the right), the
@@ -78,100 +85,127 @@ def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarr
     (I1 - w_near I0)/h on the far one, where I_p = (w_far^p - w_near^p)/p for
     p = e, e + 1 is computed as -w_far^p expm1(p log(w_near/w_far))/p: stable
     when w_near ~ w_far, and w_far^p/p on the panel ending at the target,
-    where w_near = 0 and expm1(-inf) = -1.  W is filled in blocks of target
-    rows; a block evaluates only the panels its rows touch, and
-    log(w_near/w_far) is shared by both exponents of every term.
+    where w_near = 0 and expm1(-inf) = -1.  Only the panels the rows touch
+    are evaluated, and log(w_near/w_far) is shared by both exponents of every
+    term.  The rows are added into ``out`` and returned.
+    """
+    z = grid.nodes_z
+    u = np.concatenate(([0.0], z)) if left_sided else z
+    t = z[r0:r1, None]
+    # the panels j <= i on the left, j >= i on the right, of any row in the range
+    lo, hi = (0, r1) if left_sided else (r0, grid.n - 1)
+    if lo >= hi:
+        return out
+    h = u[lo + 1:hi + 1] - u[lo:hi]
+    if left_sided:
+        w_far, w_near = t - u[lo:hi], t - u[lo + 1:hi + 1]
+    else:
+        w_near, w_far = u[lo:hi] - t, u[lo + 1:hi + 1] - t
+    # a panel past the target gets harmless distances and no weight
+    untouched = w_near < 0.0
+    np.putmask(w_near, untouched, 0.0)
+    np.putmask(w_far, untouched, 1.0)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.log(w_near / w_far)
+    to_near = np.zeros_like(w_far)
+    to_far = np.zeros_like(w_far)
+    for coef, e in terms:
+        i0 = -(w_far**e) * np.expm1(e * log_ratio) / e
+        i1 = -(w_far ** (e + 1.0)) * np.expm1((e + 1.0) * log_ratio) / (e + 1.0)
+        to_near += coef * ((w_far * i0 - i1) / h)
+        to_far += coef * ((i1 - w_near * i0) / h)
+    np.putmask(to_near, untouched, 0.0)
+    np.putmask(to_far, untouched, 0.0)
+    if left_sided:
+        out[:, lo:hi] += to_far
+        out[:, lo + 1:hi + 1] += to_near
+    else:
+        out[:, lo:hi] += to_near
+        out[:, lo + 1:hi + 1] += to_far
+    return out
+
+
+def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarray:
+    """Weights with (J f)(z_i) = sum_j W[i, j] f(u_j), built in row blocks, cached on the grid.
+
+    The nodes u are [0, z_1, ..., z_n] on the left (u_0 = 0 is the excluded
+    endpoint, where the callers' integrand vanishes) and z_1, ..., z_n on the
+    right, whose row i integrates over [z_i, z_n].
     """
     key = ("left" if left_sided else "right", terms)
     cached = grid._cache.get(key)
     if cached is not None:
         return cached
-    z = grid.nodes_z
     n = grid.n
-    u = np.concatenate(([0.0], z)) if left_sided else z
-    h = u[1:] - u[:-1]
-    W = np.zeros((n, u.size))
+    W = np.zeros((n, n + 1 if left_sided else n))
     for r0 in range(0, n, _ROW_BLOCK):
         r1 = min(r0 + _ROW_BLOCK, n)
-        t = z[r0:r1, None]
-        # the panels j <= i on the left, j >= i on the right, of any row in the block
-        lo, hi = (0, r1) if left_sided else (r0, n - 1)
-        if lo >= hi:
-            continue
-        if left_sided:
-            w_far, w_near = t - u[lo:hi], t - u[lo + 1:hi + 1]
-        else:
-            w_near, w_far = u[lo:hi] - t, u[lo + 1:hi + 1] - t
-        # a panel past the target gets harmless distances and no weight
-        untouched = w_near < 0.0
-        np.putmask(w_near, untouched, 0.0)
-        np.putmask(w_far, untouched, 1.0)
-        with np.errstate(divide="ignore"):
-            log_ratio = np.log(w_near / w_far)
-        to_near = np.zeros_like(w_far)
-        to_far = np.zeros_like(w_far)
-        for coef, e in terms:
-            i0 = -(w_far**e) * np.expm1(e * log_ratio) / e
-            i1 = -(w_far ** (e + 1.0)) * np.expm1((e + 1.0) * log_ratio) / (e + 1.0)
-            to_near += coef * ((w_far * i0 - i1) / h[lo:hi])
-            to_far += coef * ((i1 - w_near * i0) / h[lo:hi])
-        np.putmask(to_near, untouched, 0.0)
-        np.putmask(to_far, untouched, 0.0)
-        rows = W[r0:r1]
-        if left_sided:
-            rows[:, lo:hi] += to_far
-            rows[:, lo + 1:hi + 1] += to_near
-        else:
-            rows[:, lo:hi] += to_near
-            rows[:, lo + 1:hi + 1] += to_far
+        _weight_rows(grid, terms, left_sided, r0, r1, out=W[r0:r1])
     grid._cache[key] = W
     return W
 
 
-def _left_weight_matrix(grid: Grid, terms: KernelTerms) -> np.ndarray:
-    """Weights W with (J f)(z_i) = sum_j W[i, j] v[j] on [0, z_1, ..., z_n].
-
-    v[0] is the integrand value at the excluded endpoint z = 0 (the callers
-    below always pass 0 there, having subtracted the singular core).
-    """
-    return _weight_matrix(grid, terms, left_sided=True)
-
-
-def _right_weight_matrix(grid: Grid, terms: KernelTerms) -> np.ndarray:
-    """Weights W with (J f)(z_i) = sum_j W[i, j] f(z_j) over panels [z_i, z_n]."""
-    return _weight_matrix(grid, terms, left_sided=False)
+@lru_cache(maxsize=64)
+def _core_terms(terms: KernelTerms, sigma: float) -> tuple:
+    """(coefficient, exponent) pairs of int_0^z K(z-u) u^sigma du, by the power rule."""
+    es = np.array([e for _, e in terms])
+    lg = log_gamma(np.concatenate(([sigma + 1.0], es, es + sigma + 1.0)))
+    lg_sigma, (lg_e, lg_e_sigma) = lg[0], np.split(lg[1:], 2)
+    return tuple((coef * math.exp(lg_a + lg_sigma - lg_b), e + sigma)
+                 for (coef, e), lg_a, lg_b in zip(terms, lg_e, lg_e_sigma))
 
 
 def _core_convolution(terms: KernelTerms, sigma: float, z: np.ndarray) -> np.ndarray:
     """int_0^z K(z-u) u^sigma du for K = sum_c c w^(e-1), via the power rule."""
-    es = np.array([e for _, e in terms])
-    lg = log_gamma(np.concatenate(([sigma + 1.0], es, es + sigma + 1.0)))
-    lg_sigma, (lg_e, lg_e_sigma) = lg[0], np.split(lg[1:], 2)
     out = np.zeros_like(z)
-    for (coef, e), lg_a, lg_b in zip(terms, lg_e, lg_e_sigma):
-        out += coef * math.exp(lg_a + lg_sigma - lg_b) * z ** (e + sigma)
+    for coef, p in _core_terms(terms, sigma):
+        out += coef * z**p
     return out
 
 
-def _kernel_apply_left(f: GridFn, terms: KernelTerms) -> np.ndarray:
-    """Apply the left-sided kernel operator to f by product integration."""
+def _left_rows(grid: Grid, terms: KernelTerms, r0: int, r1: int, c0: int, residual: np.ndarray,
+               core: float = 0.0, sigma: float = 0.0, cached: bool = True) -> np.ndarray:
+    """Rows [r0, r1) of the left kernel operator on core * z^sigma + residual.
+
+    ``residual`` holds the integrand less its core at the integration nodes
+    c0, c0 + 1, ... of [0, z_1, ..., z_n], the rest counting as zero, so
+    history and active columns can be applied apart.  The weights come from
+    the grid's cached matrix, or with ``cached=False`` from these rows alone.
+    """
+    c1 = c0 + residual.size
+    if cached:
+        W = _weight_matrix(grid, terms, left_sided=True)[r0:r1, c0:c1]
+    else:
+        W = _weight_rows(grid, terms, True, r0, r1, np.zeros((r1 - r0, grid.n + 1)))[:, c0:c1]
+    out = W @ residual
+    if core:
+        out += core * _core_convolution(terms, sigma, grid.nodes_z[r0:r1])
+    return out
+
+
+def _kernel_apply_left(f: GridFn, terms: KernelTerms, r0: int = 0) -> np.ndarray:
+    """Rows [r0, n) of the left-sided kernel operator applied to f.
+
+    The leading power r(0) z^sigma goes in closed form, the rest by product
+    integration.  All rows use the grid's cached matrix; fewer are built
+    alone, so the last row costs n panels per kernel term and no matrix.
+    """
     if f.sigma <= -1.0:
         raise ValidationError(
             f"singular exponent must satisfy sigma > -1 for integrability (got {f.sigma})"
         )
     grid = f.grid
     z = grid.nodes_z
-    r0 = float(f.regular_values[0])
-    core = r0 * _core_convolution(terms, f.sigma, z)
+    lead = float(f.regular_values[0])
     if f.sigma != 0.0:
-        rest = f.values - r0 * z**f.sigma
+        rest = f.values - lead * z**f.sigma
     else:
-        rest = f.regular_values - r0
+        rest = f.regular_values - lead
     residual = np.concatenate(([0.0], rest))
     if not np.any(residual):
-        return core  # pure power: the core convolution is already exact
-    W = _left_weight_matrix(grid, terms)
-    return core + W @ residual
+        # pure power: the core convolution is already exact
+        return lead * _core_convolution(terms, f.sigma, z[r0:])
+    return _left_rows(grid, terms, r0, grid.n, 0, residual, lead, f.sigma, cached=r0 == 0)
 
 
 def gfi_left(f: GridFn, order: float) -> GridFn:
@@ -202,7 +236,7 @@ def gfi_right(f: GridFn, order: float) -> GridFn:
     """
     if not order > 0.0:
         raise ValidationError(f"integral order must satisfy order > 0 (got {order})")
-    W = _right_weight_matrix(f.grid, _plain_kernel(order))
+    W = _weight_matrix(f.grid, _plain_kernel(order), left_sided=False)
     return GridFn(f.grid, 0.0, W @ f.values)
 
 

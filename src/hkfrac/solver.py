@@ -19,7 +19,9 @@ where A is a Lipschitz constant of f in its second argument; the solver
 splits (a, b] greedily into subintervals whose factors stay at the fixed
 target theta = 0.5, iterates each to tolerance in the weighted norm, freezes
 it, and folds the frozen history integral into the next subinterval's fixed
-part.
+part.  That integral is computed once per subinterval, from f at the
+converged iterates, so a sweep evaluates f and applies the weights on the
+current subinterval's nodes only.
 
 Iterates are stored as grid functions with sigma = gamma - 1 so the singular
 factor is carried analytically (the fixed point has exactly this form); only
@@ -32,6 +34,7 @@ and may be solved concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
 from .frame import Grid, GridFn, HKParams, make_graded_grid, x_of_z, z_of_x
-from .operators import _left_weight_matrix, _plain_kernel
+from .operators import _left_rows, _plain_kernel
 from .specfun import gamma_ratio, log_gamma
 
 __all__ = [
@@ -60,7 +63,9 @@ class CauchyProblem:
     """Right-hand side f(x, phi), initial weighted value c, optional Lipschitz A.
 
     ``rhs`` is called with node arrays (x, phi) and must return an array of
-    the same shape.  When ``lipschitz`` is absent the solver estimates it;
+    the same shape.  It must be pointwise, each output depending only on the
+    same node's x and phi: the solver calls it only on the current
+    subinterval's nodes.  When ``lipschitz`` is absent the solver estimates it;
     ``linear_coeff`` short-circuits the estimate with the exact constant for
     right-hand sides built by the :meth:`linear` / :meth:`power_weighted`
     constructors.
@@ -73,8 +78,13 @@ class CauchyProblem:
     linear_coeff: Optional[float] = None
 
     def __post_init__(self):
-        if self.lipschitz is not None and not self.lipschitz >= 0.0:
-            raise ValidationError(f"lipschitz must satisfy A >= 0 (got {self.lipschitz})")
+        # written so that NaN fails every check
+        if not math.isfinite(self.c):
+            raise ValidationError(f"c must be finite (got {self.c})")
+        for name in ("lipschitz", "linear_coeff"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValidationError(f"{name} must satisfy 0 <= {name} < inf (got {value})")
 
     @classmethod
     def linear(cls, params: HKParams, lam: float, source: Optional[Callable], c: float) -> "CauchyProblem":
@@ -115,14 +125,15 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        if self.n < 8:
-            raise ValidationError(f"solver grid must satisfy n >= 8 (got {self.n})")
-        if not self.tol > 0.0:
-            raise ValidationError(f"tol must satisfy tol > 0 (got {self.tol})")
-        if not (self.grading is None or self.grading >= 1.0):
-            raise ValidationError(f"grading must satisfy grading >= 1 (got {self.grading})")
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must satisfy max_iters >= 1 (got {self.max_iters})")
+        # written so that NaN fails every check
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 8):
+            raise ValidationError(f"n must be an integer >= 8 (got {self.n})")
+        if not 0.0 < self.tol < math.inf:
+            raise ValidationError(f"tol must satisfy 0 < tol < inf (got {self.tol})")
+        if not (self.grading is None or 1.0 <= self.grading < math.inf):
+            raise ValidationError(f"grading must satisfy 1 <= grading < inf (got {self.grading})")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValidationError(f"max_iters must be an integer >= 1 (got {self.max_iters})")
 
 
 @dataclass
@@ -258,10 +269,12 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         )
         raise
 
-    W = _left_weight_matrix(grid, _plain_kernel(alpha))
-    core_shape = gamma_ratio(g, g + alpha) * z ** (g - 1.0 + alpha)
+    terms = _plain_kernel(alpha)
+    sigma = g - 1.0
     z_pow_up = z ** (1.0 - g)   # maps values to the weighted (regular) scale
     z_pow_dn = z ** (g - 1.0)
+    # the integrand less its singular core fr1 z^sigma, at [0, z_1, ..., z_n]
+    v = np.zeros(n + 1)
 
     residual_history: list = []
     iterations: list = []
@@ -279,33 +292,44 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             first_subinterval_end=ends[0],
         )
 
+    def at(s: int, k: int) -> str:
+        return f"subinterval {s + 1}, " + (f"sweep {k}" if k else "converged iterate")
+
+    def rhs_on(xs: np.ndarray, phi: np.ndarray, s: int, k: int) -> np.ndarray:
+        try:
+            return np.asarray(problem.rhs(xs, phi), dtype=float)
+        except Exception as exc:
+            raise RuntimeError(
+                f"rhs evaluation failed on {at(s, k)} (x in [{xs[0]}, {xs[-1]}]): {exc}"
+            ) from exc
+
+    def refuse_nonfinite(f_vals: np.ndarray, xs: np.ndarray, s: int, k: int) -> None:
+        bad = ~np.isfinite(f_vals)
+        if np.any(bad):
+            raise DomainError(f"rhs is not finite at x = {float(xs[np.argmax(bad)])!r} ({at(s, k)})")
+
     start = 0
     for s, end in enumerate(ends):
         history: list = []
         residual_history.append(history)
+        xs, dn, up = x[start:end], z_pow_dn[start:end], z_pow_up[start:end]
+        # Past the first subinterval, fr1 and the frozen columns of v are fixed,
+        # so their integral is computed once.  On the first, fr1 comes from
+        # the active node 0 and the core is integrated in every sweep.
+        frozen = 0.0 if s == 0 else _left_rows(
+            grid, terms, start, end, 0, v[:start + 1], fr1, sigma)
         converged = False
         for k in range(1, config.max_iters + 1):
-            phi_vals = z_pow_dn[:end] * reg[:end]
-            try:
-                f_vals = np.asarray(problem.rhs(x[:end], phi_vals), dtype=float)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"rhs evaluation failed on subinterval {s + 1} "
-                    f"(sweep {k}, x in ({params.a}, {x[end - 1]}]): {exc}"
-                ) from exc
-            fr1 = z_pow_up[0] * f_vals[0]
-            v = np.concatenate(([0.0], f_vals - fr1 * z_pow_dn[:end]))
-            integral = fr1 * core_shape[start:end] + W[start:end, : end + 1] @ v
-            new_reg = phi0_reg + z_pow_up[start:end] * integral
-            residual = float(np.max(np.abs(new_reg - reg[start:end])))
+            f_vals = rhs_on(xs, dn * reg[start:end], s, k)
+            if s == 0:
+                fr1 = z_pow_up[0] * f_vals[0]
+            active = _left_rows(grid, terms, start, end, start + 1, f_vals - fr1 * dn,
+                                fr1 if s == 0 else 0.0, sigma)
+            new_reg = phi0_reg + up * (frozen + active)
+            residual = float(np.abs(new_reg - reg[start:end]).max())
             if not math.isfinite(residual):
-                # a non-finite rhs value poisons every node through W
-                bad = ~np.isfinite(f_vals)
-                if np.any(bad):
-                    raise DomainError(
-                        f"rhs is not finite at x = {float(x[np.argmax(bad)])!r} "
-                        f"(subinterval {s + 1}, sweep {k})"
-                    )
+                # a non-finite rhs value poisons every later node through W
+                refuse_nonfinite(f_vals, xs, s, k)
                 raise ConvergenceError(
                     f"Picard iterates overflowed on subinterval {s + 1} (sweep {k})",
                     history=[list(r) for r in residual_history],
@@ -327,6 +351,13 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
                 history=[list(r) for r in residual_history],
                 report=partial_report(False),
             )
+        if end < n:
+            # freeze f at the converged iterate for the later subintervals
+            f_vals = rhs_on(xs, dn * reg[start:end], s, 0)
+            refuse_nonfinite(f_vals, xs, s, 0)
+            if s == 0:
+                fr1 = z_pow_up[0] * f_vals[0]
+            v[start + 1:end + 1] = f_vals - fr1 * dn
         start = end
 
     return partial_report(True)

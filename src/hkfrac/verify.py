@@ -219,7 +219,8 @@ def _picard_golden() -> list:
         got = analytic.linear_solution(spec, entry["x"])
         ref = float(entry["value"])
         err = abs(got - ref) / max(1.0, abs(ref))
-        records.append(_record("picard", f"linear golden x={entry['x']}", err, entry["tol"]))
+        case = f"linear golden source={entry['source']} x={entry['x']}"
+        records.append(_record("picard", case, err, entry["tol"]))
     return records
 
 

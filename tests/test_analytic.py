@@ -2,6 +2,8 @@
 
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from hkfrac.analytic import (
     LinearProblemSpec,
+    _ml_kernel_terms,
     PowerWeightedSpec,
     cj_coefficients,
     homogeneous_solution,
@@ -18,7 +21,7 @@ from hkfrac.analytic import (
 )
 from hkfrac.errors import ValidationError
 from hkfrac.frame import GridFn, make_graded_grid, make_params, weighted_norm, z_of_x
-from hkfrac.operators import gfi_left
+from hkfrac.operators import _kernel_apply_left, gfi_left
 from hkfrac.specfun import KSQuery, log_gamma, ml_ks
 
 
@@ -90,6 +93,26 @@ class TestLinearSolution:
         assert linear_solution(spec, entry["x"]) == pytest.approx(
             float(entry["value"]), abs=entry["tol"]
         )
+
+    def test_last_row_matches_the_full_apply(self):
+        # linear_solution builds the weights of its target row only
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        spec = LinearProblemSpec(p, -1.0, 1.0, source=np.sin)
+        tracemalloc.start()
+        try:
+            got = linear_solution(spec, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20  # the full 48-term matrix is 34 MB
+        grid = make_graded_grid(p, 2048)  # the mesh of [a, x] for x = b
+        f = GridFn.from_x_function(grid, np.sin)
+        terms = _ml_kernel_terms(0.5, -1.0, grid.nodes_z[-1])
+        row = _kernel_apply_left(f, terms, r0=grid.n - 1)
+        full = _kernel_apply_left(f, terms)
+        assert row.shape == (1,)
+        assert row[0] == pytest.approx(full[-1], rel=1e-14, abs=0.0)
+        assert got == homogeneous_solution(replace(spec, source=None), 2.0) + row[0]
 
     def test_satisfies_the_volterra_equation(self):
         p = make_params(0.6, 0.5, 1.5, 1.0, 2.0)

@@ -52,12 +52,12 @@ class TestWeightMatrices:
     """The product-integration weights against brute-force quadrature."""
 
     def test_left_weights_integrate_hat_functions(self):
-        from hkfrac.operators import _left_weight_matrix, _plain_kernel
+        from hkfrac.operators import _plain_kernel, _weight_matrix
 
         p = make_params(0.6, 0.0, 1.5, 1.0, 2.0)
         g = make_graded_grid(p, 12, 3.0)
         order = 0.6
-        W = _left_weight_matrix(g, _plain_kernel(order))
+        W = _weight_matrix(g, _plain_kernel(order), left_sided=True)
         padded = np.concatenate(([0.0], g.nodes_z))
 
         def hat(j):
@@ -76,12 +76,12 @@ class TestWeightMatrices:
                 assert W[i, j] == pytest.approx(expected, abs=1e-9)
 
     def test_right_weights_integrate_hat_functions(self):
-        from hkfrac.operators import _plain_kernel, _right_weight_matrix
+        from hkfrac.operators import _plain_kernel, _weight_matrix
 
         p = make_params(0.6, 0.0, 1.5, 1.0, 2.0)
         g = make_graded_grid(p, 12, 3.0)
         order = 0.45
-        W = _right_weight_matrix(g, _plain_kernel(order))
+        W = _weight_matrix(g, _plain_kernel(order), left_sided=False)
         nodes = g.nodes_z
 
         for i in (0, 5, 10):
@@ -105,7 +105,7 @@ class TestBlockedWeightBuild:
     @staticmethod
     def _fresh_weights(side, kernel):
         from hkfrac.analytic import _ml_kernel_terms
-        from hkfrac.operators import _ROW_BLOCK, _left_weight_matrix, _plain_kernel, _right_weight_matrix
+        from hkfrac.operators import _ROW_BLOCK, _plain_kernel, _weight_matrix
 
         g = make_graded_grid(make_params(0.6, 0.0, 1.5, 1.0, 2.0), 3 * _ROW_BLOCK + 5)
         if kernel == "plain":
@@ -113,10 +113,9 @@ class TestBlockedWeightBuild:
         else:
             terms = _ml_kernel_terms(0.6, -1.5, g.nodes_z[-1])
             assert len(terms) > 10
-        build = _left_weight_matrix if side == "left" else _right_weight_matrix
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the target's own panel takes log(0) silently
-            W = build(g, terms)
+            W = _weight_matrix(g, terms, left_sided=side == "left")
         return g, terms, W
 
     @pytest.mark.parametrize("kernel", ["plain", "ml"])
@@ -166,13 +165,35 @@ class TestBlockedWeightBuild:
                         )
                 assert W[i, j] == pytest.approx(coef * expected, abs=1e-9)
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_row_ranges_built_alone_equal_the_matrix_rows(self, side):
+        from hkfrac.operators import _ROW_BLOCK, _weight_rows
+
+        g, terms, W = self._fresh_weights(side, "ml")
+        for r0, r1 in ((0, 1), (_ROW_BLOCK - 3, _ROW_BLOCK + 4), (g.n - 1, g.n)):
+            rows = _weight_rows(g, terms, side == "left", r0, r1, np.zeros((r1 - r0, W.shape[1])))
+            assert np.array_equal(rows, W[r0:r1])
+
+    def test_row_range_apply_adds_history_and_active_columns(self):
+        from hkfrac.operators import _left_rows
+
+        g, terms, W = self._fresh_weights("left", "ml")
+        v = np.concatenate(([0.0], np.cos(3.0 * g.nodes_z)))
+        r0, r1, split = 40, 60, 41
+        whole = _left_rows(g, terms, r0, r1, 0, v, 0.3, -0.2)
+        history = _left_rows(g, terms, r0, r1, 0, v[:split], 0.3, -0.2)
+        active = _left_rows(g, terms, r0, r1, split, v[split:r1 + 1])
+        np.testing.assert_allclose(history + active, whole, rtol=1e-14, atol=0.0)
+        alone = _left_rows(g, terms, r0, r1, 0, v, 0.3, -0.2, cached=False)
+        np.testing.assert_allclose(alone, whole, rtol=1e-14, atol=0.0)
+
     def test_build_memory_is_the_matrix_plus_one_block(self):
-        from hkfrac.operators import _left_weight_matrix, _plain_kernel
+        from hkfrac.operators import _plain_kernel, _weight_matrix
 
         g = make_graded_grid(make_params(0.5, 0.5, 2.0, 1.0, 2.0), 1024)
         tracemalloc.start()
         try:
-            W = _left_weight_matrix(g, _plain_kernel(0.5))
+            W = _weight_matrix(g, _plain_kernel(0.5), left_sided=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

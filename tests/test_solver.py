@@ -8,15 +8,16 @@ import pytest
 from hkfrac.analytic import LinearProblemSpec, linear_solution_on_grid
 from hkfrac.errors import ConvergenceError, DomainError, ValidationError
 from hkfrac.frame import make_graded_grid, make_params
-from hkfrac.operators import hk_derivative
+from hkfrac.operators import _plain_kernel, _weight_matrix, hk_derivative
 from hkfrac.solver import (
     CauchyProblem,
     SolverConfig,
+    _snap_breakpoints,
     contraction_factor,
     lipschitz_estimate,
     picard_solve,
 )
-from hkfrac.specfun import MLQuery, ml2
+from hkfrac.specfun import MLQuery, gamma_ratio, log_gamma, ml2
 
 
 class TestContractionFactor:
@@ -189,7 +190,122 @@ class TestPicardSolve:
         with pytest.raises(ValidationError):
             SolverConfig(max_iters=0)
 
+    @pytest.mark.parametrize("build, field", [
+        (lambda p: SolverConfig(n=math.inf), "n"),
+        (lambda p: SolverConfig(n=100.5), "n"),
+        (lambda p: SolverConfig(n=math.nan), "n"),
+        (lambda p: SolverConfig(max_iters=math.inf), "max_iters"),
+        (lambda p: SolverConfig(max_iters=2.5), "max_iters"),
+        (lambda p: SolverConfig(tol=math.inf), "tol"),
+        (lambda p: SolverConfig(tol=math.nan), "tol"),
+        (lambda p: SolverConfig(grading=math.inf), "grading"),
+        (lambda p: CauchyProblem.linear(p, -1.0, None, math.nan), "c"),
+        (lambda p: CauchyProblem.linear(p, -1.0, None, math.inf), "c"),
+        (lambda p: CauchyProblem.linear(p, math.nan, None, 1.0), "linear_coeff"),
+        (lambda p: CauchyProblem(p, lambda x, phi: phi, 1.0, lipschitz=math.inf), "lipschitz"),
+        (lambda p: CauchyProblem(p, lambda x, phi: phi, 1.0, lipschitz=math.nan), "lipschitz"),
+    ])
+    def test_bad_settings_are_refused_at_construction(self, build, field):
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        with pytest.raises(ValidationError, match=rf"^{field} must"):
+            build(p)
+
     def test_power_weighted_rhs_requires_nonnegative_exponent(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
         with pytest.raises(ValidationError):
             CauchyProblem.power_weighted(p, 1.0, -0.2, 1.0)
+
+
+def _whole_history_solve(problem, n, tol, max_iters=200):
+    """The sweep loop before the history split, as a reference.
+
+    Every sweep evaluates the rhs on all of x[:end], takes the core from the
+    first node's f, and multiplies the whole W[start:end, :end + 1].
+    """
+    params = problem.params
+    grid = make_graded_grid(params, n)
+    z, x = grid.nodes_z, grid.nodes_x
+    g, alpha = params.gamma, params.alpha
+    A = problem.lipschitz if problem.lipschitz is not None else lipschitz_estimate(problem)
+    ends, _ = _snap_breakpoints(grid, A)
+    W = _weight_matrix(grid, _plain_kernel(alpha), left_sided=True)
+    core_shape = gamma_ratio(g, g + alpha) * z ** (g - 1.0 + alpha)
+    up, dn = z ** (1.0 - g), z ** (g - 1.0)
+    phi0 = problem.c * math.exp(-log_gamma(g))
+    reg = np.full(n, phi0)
+    iterations = []
+    start = 0
+    for end in ends:
+        for k in range(1, max_iters + 1):
+            f_vals = np.asarray(problem.rhs(x[:end], dn[:end] * reg[:end]), dtype=float)
+            fr1 = up[0] * f_vals[0]
+            v = np.concatenate(([0.0], f_vals - fr1 * dn[:end]))
+            integral = fr1 * core_shape[start:end] + W[start:end, :end + 1] @ v
+            new_reg = phi0 + up[start:end] * integral
+            residual = float(np.max(np.abs(new_reg - reg[start:end])))
+            reg[start:end] = new_reg
+            if residual <= tol:
+                break
+        iterations.append(k)
+        start = end
+    return iterations, reg
+
+
+def _sine_problem():
+    return CauchyProblem(make_params(0.5, 0.5, 2.0, 1.0, 2.0),
+                         lambda x, phi: -3.0 * np.sin(phi), 1.0)
+
+
+class TestFrozenHistory:
+    """Each sweep works on its own subinterval; the history is computed once."""
+
+    def test_rhs_sees_only_the_active_nodes(self):
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        seen = []
+
+        def rhs(x, phi):
+            seen.append(np.array(x))
+            return -3.0 * np.sin(phi)
+
+        report = picard_solve(CauchyProblem(p, rhs, 1.0, lipschitz=4.5), SolverConfig(n=256))
+        x = report.grid.nodes_x
+        ends = np.searchsorted(x, report.breakpoints, side="right")
+        assert len(ends) > 10 and ends[-1] == x.size
+        expected = []
+        for start, end, sweeps in zip(np.concatenate(([0], ends[:-1])), ends, report.iterations):
+            # every sweep, then one evaluation at the converged iterate to freeze f
+            calls = sweeps + (1 if end < x.size else 0)
+            expected += [x[start:end]] * calls
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("problem", [
+        CauchyProblem.linear(make_params(0.5, 0.5, 2.0, 1.0, 2.0), -5.0, None, 1.0),
+        CauchyProblem.linear(make_params(0.5, 0.5, "hadamard", 1.0, 2.0), -8.0, None, 1.0),
+        CauchyProblem.linear(make_params(0.7, 1.0, 1.0, 1.0, 2.0), -15.0, None, 1.0),
+        _sine_problem(),
+    ], ids=["hk-lambda-5", "hadamard-lambda-8", "caputo-lambda-15", "minus-3-sin-phi"])
+    def test_matches_the_whole_history_sweep(self, problem):
+        n, tol = 512, 1e-10
+        report = picard_solve(problem, SolverConfig(n=n, tol=tol))
+        iterations, reg = _whole_history_solve(problem, n, tol)
+        assert len(iterations) > 100
+        assert report.iterations == iterations
+        got = report.solution.regular_values
+        assert np.max(np.abs(got - reg)) <= 1e-13 * np.max(np.abs(reg))
+
+    def test_nonfinite_rhs_in_a_later_subinterval_names_x_and_subinterval(self):
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+
+        def source(x):
+            return np.where(x > 1.7, np.nan, np.cos(x))
+
+        clean = picard_solve(CauchyProblem.linear(p, -5.0, np.cos, 1.0), SolverConfig(n=512))
+        x = clean.grid.nodes_x
+        x_bad = float(x[x > 1.7][0])
+        subinterval = int(np.argmax(clean.breakpoints >= x_bad)) + 1
+        assert subinterval > 1
+        with pytest.raises(DomainError, match="not finite") as excinfo:
+            picard_solve(CauchyProblem.linear(p, -5.0, source, 1.0), SolverConfig(n=512))
+        assert f"x = {x_bad!r} (subinterval {subinterval}, sweep 1)" in str(excinfo.value)

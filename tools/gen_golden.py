@@ -6,8 +6,9 @@ are independent of the package's own series/quadrature code paths:
 
 * Mittag-Leffler values: direct 500-term series in mpmath.
 * Kilbas-Saigo values: the defining gamma-ratio product, in mpmath.
-* The linear-problem value: termwise integration of the source integral
-  (closed form z^alpha E_{alpha,alpha+1}(lambda z^alpha) for a unit source),
+* The linear-problem values: termwise integration of the source integral
+  (closed form z^alpha E_{alpha,alpha+1}(lambda z^alpha) for a unit source,
+  z^(alpha+1) E_{alpha,alpha+2}(lambda z^alpha) for the source z), each
   cross-checked against adaptive mpmath quadrature of the kernel integral
   before being written out.
 
@@ -84,6 +85,23 @@ def main() -> None:
         {
             "alpha": 0.5, "beta": 0.0, "rho": 1.0, "a": 1.0, "b": 2.0,
             "c": 0.0, "lambda": -1.0, "source": "1", "x": 2.0,
+            "value": fmt(series_value), "tol": 1e-9,
+        }
+    )
+
+    # The same problem with source z, whose integrand is not a pure power, so
+    # the package's quadrature reaches its multi-term weights.  Termwise:
+    # z^(a+1) E_{a,a+2}(lam z^a).
+    series_value = sum(lam**k / mp.gamma(alpha * k + alpha + 2) for k in range(400))
+    quad_value = mp.quad(
+        lambda t: (2 - t) ** (alpha - 1) * ee(alpha, alpha, -((2 - t) ** alpha)) * (t - 1),
+        [1, 2],
+    )
+    assert abs(series_value - quad_value) < mp.mpf("1e-25"), (series_value, quad_value)
+    golden["linear_solution"].append(
+        {
+            "alpha": 0.5, "beta": 0.0, "rho": 1.0, "a": 1.0, "b": 2.0,
+            "c": 0.0, "lambda": -1.0, "source": "z", "x": 2.0,
             "value": fmt(series_value), "tol": 1e-9,
         }
     )
