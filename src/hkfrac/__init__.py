@@ -10,10 +10,8 @@ Cauchy problem.
 from .analytic import (
     LinearProblemSpec,
     PowerWeightedSpec,
-    cj_coefficients,
     homogeneous_solution,
     linear_solution,
-    linear_solution_on_grid,
     power_weighted_solution,
 )
 from .errors import ConvergenceError, DomainError, ValidationError
@@ -22,8 +20,6 @@ from .frame import (
     Grid,
     GridFn,
     HKParams,
-    WeightExponent,
-    embedding_bound,
     make_graded_grid,
     make_params,
     weighted_norm,
@@ -48,7 +44,7 @@ from .solver import (
     picard_solve,
 )
 from .sourceexpr import ExprSyntaxError, SourceExpr, UnknownIdentifierError, parse_source
-from .specfun import KSQuery, MLQuery, gamma_ratio, log_gamma, ml1, ml2, ml_ks
+from .specfun import KSQuery, MLQuery, gamma_ratio, log_gamma, ml2, ml_ks
 
 __version__ = "0.1.0"
 
@@ -58,7 +54,6 @@ __all__ = [
     "HKParams",
     "Grid",
     "GridFn",
-    "WeightExponent",
     "MLQuery",
     "KSQuery",
     "LinearProblemSpec",
@@ -77,10 +72,8 @@ __all__ = [
     "z_of_x",
     "x_of_z",
     "weighted_norm",
-    "embedding_bound",
     "log_gamma",
     "gamma_ratio",
-    "ml1",
     "ml2",
     "ml_ks",
     "gfi_left",
@@ -95,8 +88,6 @@ __all__ = [
     "picard_solve",
     "homogeneous_solution",
     "linear_solution",
-    "linear_solution_on_grid",
     "power_weighted_solution",
-    "cj_coefficients",
     "parse_source",
 ]

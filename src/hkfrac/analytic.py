@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .frame import Grid, GridFn, HKParams, make_graded_grid, z_of_x
+from .frame import GridFn, HKParams, make_graded_grid, z_of_x
 from .operators import _kernel_apply_left
 from .specfun import KSQuery, MLQuery, log_gamma, ml2, ml_ks
 
@@ -42,9 +42,7 @@ __all__ = [
     "PowerWeightedSpec",
     "homogeneous_solution",
     "linear_solution",
-    "linear_solution_on_grid",
     "power_weighted_solution",
-    "cj_coefficients",
 ]
 
 
@@ -140,19 +138,6 @@ def linear_solution(spec: LinearProblemSpec, x: float) -> float:
     return float(hom + _kernel_apply_left(f, terms, r0=grid.n - 1)[0])
 
 
-def linear_solution_on_grid(spec: LinearProblemSpec, grid: Grid) -> GridFn:
-    """The linear solution sampled on a full grid (shared-panel evaluation)."""
-    params = grid.params
-    g = params.gamma
-    z = grid.nodes_z
-    weighted = spec.c * ml2(MLQuery(params.alpha, g, spec.lam * z**params.alpha))
-    if spec.source is not None:
-        f = GridFn.from_x_function(grid, spec.source)
-        terms = _ml_kernel_terms(params.alpha, spec.lam, z[-1])
-        weighted = weighted + z ** (1.0 - g) * _kernel_apply_left(f, terms)
-    return GridFn(grid, g - 1.0, weighted)
-
-
 def power_weighted_solution(spec: PowerWeightedSpec, x):
     """phi(x) = c/Gamma(alpha) z^(alpha-1) E_{alpha,l,m}[lambda z^(alpha+xi)]."""
     params = spec.params
@@ -164,20 +149,3 @@ def power_weighted_solution(spec: PowerWeightedSpec, x):
     z = np.asarray(z_of_x(params, xa), dtype=float)
     out = pref * z ** (alpha - 1.0) * ml_ks(KSQuery(alpha, l, m, spec.lam * z ** (alpha + spec.xi)))
     return out if isinstance(x, np.ndarray) else float(out)
-
-
-def cj_coefficients(alpha: float, xi: float, j_max: int) -> np.ndarray:
-    """c_0 = 1 and c_j = prod_{r=1..j} Gamma[r(alpha+xi)]/Gamma[r(alpha+xi)+alpha].
-
-    These are the series coefficients of the power-weighted solution in
-    powers of lambda z^(alpha+xi); they must match the Kilbas-Saigo internal
-    product under the l, m substitution above.
-    """
-    if not alpha + xi > 0.0:
-        raise ValidationError(f"coefficients need alpha + xi > 0 (got {alpha + xi})")
-    if j_max < 0:
-        raise ValidationError(f"j_max must be nonnegative (got {j_max})")
-    rs = np.arange(1, j_max + 1, dtype=float)
-    args = rs * (alpha + xi)
-    log_factors = log_gamma(args) - log_gamma(args + alpha)
-    return np.concatenate(([1.0], np.exp(np.cumsum(log_factors))))

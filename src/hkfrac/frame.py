@@ -20,6 +20,7 @@ excluded from grids; boundary values are obtained by analytic limits.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -32,13 +33,11 @@ __all__ = [
     "HKParams",
     "Grid",
     "GridFn",
-    "WeightExponent",
     "make_params",
     "z_of_x",
     "x_of_z",
     "make_graded_grid",
     "weighted_norm",
-    "embedding_bound",
 ]
 
 HADAMARD = "hadamard"
@@ -222,8 +221,8 @@ def make_graded_grid(params: HKParams, n: int, grading: Union[float, None] = Non
     The default grading max(1, 2/alpha) compensates the z^(alpha-1)-type
     singularities at a that the package's operators and solutions carry.
     """
-    if n < 1:
-        raise ValidationError(f"grid size must satisfy n >= 1 (got {n})")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValidationError(f"grid size n must be an integer >= 1 (got {n})")
     if grading is None:
         grading = max(1.0, 2.0 / params.alpha)
     if not grading >= 1.0:
@@ -317,35 +316,11 @@ class GridFn:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class WeightExponent:
-    """Weight mu of the weighted sup norm max |z^mu g(z)|."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.mu < 1.0:
-            raise ValidationError(f"weight exponent must satisfy 0 <= mu < 1 (got {self.mu})")
-
-
-def weighted_norm(f: GridFn, w: Union[WeightExponent, float]) -> float:
+def weighted_norm(f: GridFn, mu: float) -> float:
     """max over nodes of |z^mu * z^sigma * regular|, exact for the grid representative."""
-    mu = w.mu if isinstance(w, WeightExponent) else WeightExponent(float(w)).mu
+    if not 0.0 <= mu < 1.0:  # NaN fails too
+        raise ValidationError(f"weight exponent must satisfy 0 <= mu < 1 (got {mu})")
     exponent = mu + f.sigma
     if exponent == 0.0:
         return float(np.max(np.abs(f.regular_values)))
     return float(np.max(np.abs(f.grid.nodes_z**exponent * f.regular_values)))
-
-
-def embedding_bound(mu1: float, mu2: float, params: HKParams) -> float:
-    """The factor B with ||f||_{mu2} <= B ||f||_{mu1} for mu1 <= mu2.
-
-    B = ((b^rho - a^rho)/rho)^(mu2 - mu1); since z <= z(b) on the grid, the
-    bound holds exactly for every grid function.
-    """
-    w1, w2 = WeightExponent(mu1), WeightExponent(mu2)
-    if w1.mu > w2.mu:
-        raise ValidationError(f"weights must satisfy mu1 <= mu2 (got {mu1} > {mu2})")
-    if params.a == 0.0:
-        raise ValidationError("embedding bound requires a != 0")
-    return _z_top_raw(params) ** (w2.mu - w1.mu)

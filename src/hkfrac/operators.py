@@ -295,7 +295,7 @@ def power_rule_analytic(xi: float, order: float, params: HKParams, x):
     """Closed form J^order z^(xi-1) = Gamma(xi)/Gamma(order+xi) z^(order+xi-1)."""
     if not xi > 0.0:
         raise ValidationError(f"power rule requires xi > 0 (got {xi})")
-    if order < 0.0:
+    if not order >= 0.0:  # NaN fails too
         raise ValidationError(f"power rule requires order >= 0 (got {order})")
     z = z_of_x(params, x)
     return gamma_ratio(xi, order + xi) * z ** (order + xi - 1.0)

@@ -101,7 +101,7 @@ class CauchyProblem:
     def power_weighted(cls, params: HKParams, lam: float, xi: float,
                        c: float, source: Optional[Callable] = None) -> "CauchyProblem":
         """f(x, phi) = lam * z^xi * phi (+ source); needs xi >= 0 for a Lipschitz bound."""
-        if xi < 0.0:
+        if not xi >= 0.0:  # NaN fails too
             raise ValidationError(f"power weight must satisfy xi >= 0 for the solver (got {xi})")
         p = params
 
@@ -122,7 +122,6 @@ class SolverConfig:
     grading: Optional[float] = None
     tol: float = 1e-8
     max_iters: int = 200
-    record_iterates: bool = False
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -142,8 +141,7 @@ class SolveReport:
 
     residual_history[s][k-1] is the weighted norm ||phi_k - phi_{k-1}|| on
     subinterval s; contraction_factors[s] is that subinterval's certified
-    factor; iterates (when recorded) are the regular parts of the global
-    iterate after each sweep of the first subinterval.
+    factor.
     """
 
     solution: GridFn
@@ -152,8 +150,6 @@ class SolveReport:
     residual_history: list
     iterations: list
     converged: bool = True
-    iterates: Optional[list] = None
-    first_subinterval_end: int = 0
 
     @property
     def grid(self) -> Grid:
@@ -162,7 +158,7 @@ class SolveReport:
 
 def contraction_factor(A: float, params: HKParams, x1: float) -> float:
     """w_1 = A Gamma(gamma)/Gamma(alpha+gamma) z(x1)^alpha."""
-    if A < 0.0:
+    if not A >= 0.0:  # NaN fails too
         raise ValidationError(f"Lipschitz constant must satisfy A >= 0 (got {A})")
     z1 = z_of_x(params, x1)
     if not z1 > 0.0:
@@ -278,7 +274,6 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
 
     residual_history: list = []
     iterations: list = []
-    iterates: Optional[list] = [] if config.record_iterates else None
 
     def partial_report(converged: bool) -> SolveReport:
         return SolveReport(
@@ -288,8 +283,6 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             residual_history=[list(r) for r in residual_history],
             iterations=list(iterations),
             converged=converged,
-            iterates=iterates,
-            first_subinterval_end=ends[0],
         )
 
     def at(s: int, k: int) -> str:
@@ -336,8 +329,6 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
                 )
             reg[start:end] = new_reg
             history.append(residual)
-            if iterates is not None and s == 0:
-                iterates.append(reg.copy())
             if residual <= config.tol:
                 converged = True
                 iterations.append(k)

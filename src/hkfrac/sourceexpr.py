@@ -212,18 +212,6 @@ def _evaluate(node: Node, x, z):
     return np.power(left, right)
 
 
-def _to_text(node: Node) -> str:
-    if isinstance(node, Num):
-        return format(node.value, ".17g")
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return f"(-{_to_text(node.operand)})"
-    if isinstance(node, Call):
-        return f"{node.fn}({_to_text(node.arg)})"
-    return f"({_to_text(node.left)} {node.op} {_to_text(node.right)})"
-
-
 @dataclass(frozen=True)
 class SourceExpr:
     """A parsed expression; evaluate with concrete x (and z) values."""
@@ -237,13 +225,6 @@ class SourceExpr:
         if isinstance(x, np.ndarray):
             return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
         return float(out)
-
-    def to_text(self) -> str:
-        """Canonical fully-parenthesized form; reparses to the same AST."""
-        return _to_text(self.ast)
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 def parse_source(text: str) -> SourceExpr:

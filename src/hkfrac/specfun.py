@@ -6,8 +6,8 @@ ndarray of the same shape):
 
 * ``log_gamma`` -- ln Gamma(x) on the positive axis via a fixed-coefficient
   Lanczos rational approximation (coefficients embedded below).
-* ``ml2``/``ml1`` -- the two- and one-parameter Mittag-Leffler functions
-  E_{alpha,beta}(x) = sum_k x^k / Gamma(alpha*k + beta), evaluated by their
+* ``ml2`` -- the two-parameter Mittag-Leffler function
+  E_{alpha,beta}(x) = sum_k x^k / Gamma(alpha*k + beta), evaluated by its
   power series.
 * ``ml_ks`` -- the three-parameter Kilbas-Saigo family E_{alpha,l,m}(x) with
   gamma-ratio product coefficients, accumulated in log space.
@@ -44,7 +44,6 @@ __all__ = [
     "KSQuery",
     "log_gamma",
     "gamma_ratio",
-    "ml1",
     "ml2",
     "ml_ks",
     "SERIES_X_MAX",
@@ -263,11 +262,6 @@ def ml2(q: MLQuery):
             yield -_lanczos_log_gamma(alpha * ks + beta)
 
     return _power_series(log_coefs, q.x, 0, math.exp(-log_gamma(q.beta)), "Mittag-Leffler")
-
-
-def ml1(alpha: float, x):
-    """One-parameter Mittag-Leffler function E_alpha(x) = E_{alpha,1}(x)."""
-    return ml2(MLQuery(alpha, 1.0, x))
 
 
 def _ks_check_gamma_args(args: np.ndarray, what: str) -> None:

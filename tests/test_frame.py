@@ -10,8 +10,6 @@ from hkfrac.frame import (
     Grid,
     GridFn,
     HKParams,
-    WeightExponent,
-    embedding_bound,
     make_graded_grid,
     make_params,
     weighted_norm,
@@ -206,39 +204,6 @@ class TestWeightedNorm:
         assert weighted_norm(f, 0.5) == pytest.approx(1.0, rel=1e-15)
 
     def test_weight_validation(self):
-        with pytest.raises(ValidationError):
-            WeightExponent(1.0)
-        with pytest.raises(ValidationError):
-            weighted_norm(GridFn.constant(self.g, 1.0), -0.1)
-
-
-class TestEmbedding:
-    def test_equal_weights(self):
-        p = make_params(0.5, 0.0, 2.0, 1.0, 2.0)
-        assert embedding_bound(0.2, 0.2, p) == 1.0
-
-    def test_unit_interval(self):
-        p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
-        assert embedding_bound(0.0, 0.5, p) == pytest.approx(1.0, rel=1e-15)
-
-    def test_power_factor(self):
-        p = make_params(0.5, 0.0, 1.0, 1.0, 5.0)
-        assert embedding_bound(0.2, 0.7, p) == pytest.approx(2.0, rel=1e-14)
-
-    def test_validation(self):
-        p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
-        with pytest.raises(ValidationError):
-            embedding_bound(0.7, 0.2, p)
-        with pytest.raises(ValidationError):
-            embedding_bound(0.2, 0.7, make_params(0.5, 0.0, 1.0, 0.0, 2.0))
-
-    def test_bound_holds_exactly_on_grid_functions(self):
-        p = make_params(0.5, 0.0, 1.7, 1.0, 2.0)
-        g = make_graded_grid(p, 48)
-        rng = np.random.default_rng(42)
-        for _ in range(200):
-            f = GridFn(g, float(rng.uniform(-0.9, 1.5)), rng.normal(size=g.n))
-            mu1, mu2 = np.sort(rng.uniform(0.0, 0.999, size=2))
-            lhs = weighted_norm(f, float(mu2))
-            rhs = embedding_bound(float(mu1), float(mu2), p) * weighted_norm(f, float(mu1))
-            assert lhs <= rhs * (1.0 + 1e-12)
+        for mu in (-0.1, 1.0, math.nan):
+            with pytest.raises(ValidationError, match="weight exponent"):
+                weighted_norm(GridFn.constant(self.g, 1.0), mu)

@@ -35,6 +35,13 @@ class TestEvaluation:
             ("sin(x)/cos(x)", 0.3, None, math.tan(0.3)),
             ("1e-3 + .5", 0.0, None, 0.5010),
             ("z", 5.0, 0.25, 0.25),
+            ("0", 2.0, None, 0.0),
+            ("2*x + exp(-z)", 2.0, 1.0, 4.0 + math.exp(-1.0)),
+            ("x ^ 2 ^ 3", 2.0, None, 256.0),
+            ("-x*(3.5 - z/2)^0.5", 2.0, 1.0, -2.0 * math.sqrt(3.0)),
+            ("abs(sin(x))/ln(x)", 2.0, None, math.sin(2.0) / math.log(2.0)),
+            ("x - - z", 2.0, 0.5, 2.5),
+            ("cos(x)*cos(z) - sin(x)*sin(z)", 0.3, 0.4, math.cos(0.7)),
         ],
     )
     def test_values(self, text, x, z, expected):
@@ -49,25 +56,6 @@ class TestEvaluation:
 
     def test_numpy_domain_semantics(self):
         assert math.isnan(parse_source("sqrt(x - 10)").evaluate(2.0))
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "0",
-            "2*x + exp(-z)",
-            "x ^ 2 ^ 3",
-            "-x*(3.5 - z/2)^0.5",
-            "abs(sin(x))/ln(x)",
-            "1e-3 + .5",
-            "x - - z",
-            "cos(x)*cos(z) - sin(x)*sin(z)",
-        ],
-    )
-    def test_print_parse_identity(self, text):
-        parsed = parse_source(text)
-        assert parse_source(parsed.to_text()).ast == parsed.ast
 
 
 class TestErrors:

@@ -20,7 +20,6 @@ from hkfrac.specfun import (
     MLQuery,
     gamma_ratio,
     log_gamma,
-    ml1,
     ml2,
     ml_ks,
 )
@@ -136,19 +135,6 @@ class TestML2:
             MLQuery(0.0, 1.0, 0.5)
         with pytest.raises(ValidationError):
             MLQuery(0.5, -1.0, 0.5)
-
-
-class TestML1:
-    def test_zero(self):
-        assert ml1(0.7, 0.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_exp_square(self):
-        assert ml1(1.0, 2.0) == pytest.approx(math.e**2, rel=1e-12)
-
-    def test_delegates_to_ml2(self):
-        assert ml1(0.5, 0.25) == ml2(MLQuery(0.5, 1.0, 0.25))
-        xs = np.array([0.25, -0.5])
-        assert np.array_equal(ml1(0.5, xs), ml2(MLQuery(0.5, 1.0, xs)))
 
 
 def ks_reference(alpha, l, m, x, terms=64):
