@@ -46,6 +46,13 @@ __all__ = [
 ]
 
 
+def _require_finite(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite (got {value})")
+
+
 @dataclass(frozen=True)
 class LinearProblemSpec:
     """Linear Cauchy problem with constant coefficient and additive source."""
@@ -54,6 +61,9 @@ class LinearProblemSpec:
     lam: float
     c: float
     source: Optional[Callable] = None
+
+    def __post_init__(self):
+        _require_finite(self, "lam", "c")
 
 
 @dataclass(frozen=True)
@@ -67,6 +77,7 @@ class PowerWeightedSpec:
     c: float
 
     def __post_init__(self):
+        _require_finite(self, "lam", "c")
         if self.params.beta != 0.0:
             raise ValidationError(
                 f"power-weighted problem requires beta = 0 (got {self.params.beta})"

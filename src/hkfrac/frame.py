@@ -248,6 +248,8 @@ class GridFn:
     regular_values: np.ndarray
 
     def __post_init__(self):
+        if not math.isfinite(self.sigma):
+            raise ValidationError(f"sigma must be finite (got {self.sigma})")
         vals = np.array(self.regular_values, dtype=float)
         if vals.shape != self.grid.nodes_z.shape:
             raise ValidationError(

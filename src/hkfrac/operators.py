@@ -20,10 +20,17 @@ pure power r(0) * z^sigma, whose image is known in closed form (the power
 rule J^a z^(xi-1) = Gamma(xi)/Gamma(a+xi) z^(a+xi-1)); the remainder vanishes
 at the first node and is integrated numerically.
 
-The weight matrices are dense (n x (n+1) on the left, n x n on the right)
-and cached on the grid per kernel.  They are built in fixed blocks of target
-rows over only the panels their rows touch, so building one needs the
-matrix itself plus one block of temporaries (a few block x n arrays).
+The right-sided weights are a dense n x n matrix, cached on the grid per
+kernel and built in fixed blocks of target rows over only the panels their
+rows touch.  The left kernel c w^(e-1) with 0 < e < 1 is never formed as a
+matrix: each target row keeps the exact weights of the panels in its own and
+the previous block of _BLOCK panels, and the panels further left are
+integrated against a sum of exponentials whose moments carry from block to
+block (``_CompressedLeft``).  That costs O(n N_exp) time and memory
+instead of O(n^2); N_exp is about 40-200 at orders 0.3-0.9 and n up to
+4096, more on the steeper grids of small orders.  Left kernels of several
+terms (the closed-form oracle's Mittag-Leffler expansion) or with e >= 1
+keep dense weights.
 
 Every left-sided integral runs through one row-range apply, ``_left_rows``
 (core plus weights on target rows [r0, r1), history and active columns
@@ -76,7 +83,7 @@ _ROW_BLOCK = 32
 
 
 def _weight_rows(grid: Grid, terms: KernelTerms, left_sided: bool, r0: int, r1: int,
-                 out: np.ndarray) -> np.ndarray:
+                 out: np.ndarray, col0: int = 0) -> np.ndarray:
     """Rows [r0, r1) of the product-integration weights for the kernel sum_c c * w^(e-1).
 
     Over panel [u_j, u_{j+1}] at kernel distances w_near/w_far from target z_i
@@ -87,13 +94,14 @@ def _weight_rows(grid: Grid, terms: KernelTerms, left_sided: bool, r0: int, r1: 
     when w_near ~ w_far, and w_far^p/p on the panel ending at the target,
     where w_near = 0 and expm1(-inf) = -1.  Only the panels the rows touch
     are evaluated, and log(w_near/w_far) is shared by both exponents of every
-    term.  The rows are added into ``out`` and returned.
+    term.  The rows are added into ``out``, whose column c is node col0 + c,
+    and returned; on the left the panels start at node col0.
     """
     z = grid.nodes_z
     u = np.concatenate(([0.0], z)) if left_sided else z
     t = z[r0:r1, None]
     # the panels j <= i on the left, j >= i on the right, of any row in the range
-    lo, hi = (0, r1) if left_sided else (r0, grid.n - 1)
+    lo, hi = (col0, r1) if left_sided else (r0, grid.n - 1)
     if lo >= hi:
         return out
     h = u[lo + 1:hi + 1] - u[lo:hi]
@@ -116,6 +124,7 @@ def _weight_rows(grid: Grid, terms: KernelTerms, left_sided: bool, r0: int, r1: 
         to_far += coef * ((i1 - w_near * i0) / h)
     np.putmask(to_near, untouched, 0.0)
     np.putmask(to_far, untouched, 0.0)
+    lo, hi = lo - col0, hi - col0
     if left_sided:
         out[:, lo:hi] += to_far
         out[:, lo + 1:hi + 1] += to_near
@@ -145,6 +154,204 @@ def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarr
     return W
 
 
+# Panels per block of the compressed left kernel.  At n = 4096, blocks of
+# 32-128 panels built within 10% of each other.
+_BLOCK = 64
+# Relative error of the sum of exponentials that replaces the kernel in the
+# far field; each of its Gauss rules has one node per decade of it.
+_EXP_SUM_TOL = 1e-14
+_EXP_SUM_NODES = math.ceil(-math.log10(_EXP_SUM_TOL))
+# Taylor coefficients of int_0^1 exp(-x r) r dr = sum_m (-x)^m / (m! (m + 2)).
+_FAR_SERIES = np.array([1.0 / (math.factorial(m) * (m + 2)) for m in range(18)])
+
+
+@lru_cache(maxsize=64)
+def _gauss_jacobi(e: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the Gauss rule for the weight (1 + x)^(-e) on [-1, 1], 0 <= e < 1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    weight's orthogonal polynomials, the weights int (1 + x)^(-e) dx =
+    2^(1-e)/(1-e) times the squared first eigenvector components.  e = 0 is
+    Gauss-Legendre.
+    """
+    m = _EXP_SUM_NODES
+    k = np.arange(1.0, m)
+    diag = np.empty(m)
+    diag[0] = -e / (2.0 - e)
+    diag[1:] = e * e / ((2.0 * k - e) * (2.0 * k - e + 2.0))
+    off = 2.0 * k * (k - e) / ((2.0 * k - e) * np.sqrt((2.0 * k - e + 1.0) * (2.0 * k - e - 1.0)))
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (1.0 - e) / (1.0 - e) * vecs[0] ** 2
+    x.setflags(write=False)  # cached: shared by every caller
+    w.setflags(write=False)
+    return x, w
+
+
+def _exp_sum(e: float, delta: float, z_top: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and weights om with w^(e-1) ~ sum_l om_l exp(-s_l w) on [delta, z_top], 0 < e < 1.
+
+    The quadrature of w^(e-1) = 1/Gamma(1-e) int_0^inf s^(-e) exp(-s w) ds of
+    Jiang, Zhang, Zhang & Zhang (CiCP 21 (2017) 650): Gauss-Jacobi with the
+    weight s^(-e) on [0, 1/z_top], where s w <= 1, then Gauss-Legendre panels
+    of width 2 in log s up to the s where exp(-s delta) is below the
+    tolerance.  The error falls about tenfold per node of each rule, so
+    _EXP_SUM_NODES = -log10(_EXP_SUM_TOL) nodes per rule hold the relative
+    error below it.
+    """
+    # s = (1 + x)/(2 z_top) maps the weight (1 + x)^(-e) to (2 z_top)^e s^(-e)
+    x, w = _gauss_jacobi(e)
+    s_jac = 0.5 * (1.0 + x) / z_top
+    om_jac = w * (2.0 * z_top) ** (e - 1.0)
+    lo, hi = -math.log(z_top), math.log((3.0 - math.log(_EXP_SUM_TOL)) / delta)
+    edges = np.linspace(lo, hi, math.ceil((hi - lo) / 2.0) + 1)
+    nodes, weights = _gauss_jacobi(0.0)
+    half = 0.5 * np.diff(edges)[:, None]
+    y = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
+    s = np.concatenate((s_jac, np.exp(y).ravel()))
+    om = np.concatenate((om_jac, (half * weights * np.exp((1.0 - e) * y)).ravel()))
+    return s, om / math.gamma(1.0 - e)
+
+
+def _hat_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^1 exp(-x r) r dr and int_0^1 exp(-x r) (1 - r) dr, for x > 0.
+
+    The first in closed form with expm1 for x >= 1, by its Taylor series
+    below, where the closed form cancels; the second as int_0^1 exp(-x r) dr
+    less the first, which loses at most a bit since the first is at most
+    half of that integral.
+    """
+    em1 = np.expm1(-x)
+    far = np.empty_like(x)
+    small = x < 1.0
+    big = ~small
+    xb = x[big]
+    far[big] = (-em1[big] - xb * np.exp(-xb)) / xb**2
+    neg = -x[small]
+    series = np.full_like(neg, _FAR_SERIES[-1])
+    for c in _FAR_SERIES[-2::-1]:
+        series *= neg
+        series += c
+    far[small] = series
+    return far, -em1 / x - far
+
+
+class _CompressedLeft:
+    """The left kernel c w^(e-1), 0 < e < 1, as exact near weights plus a compressed far field.
+
+    The panels are cut into blocks of _BLOCK.  A target row in block k keeps
+    the exact product-integration weights of the panels in blocks k-1 and k:
+    ``band[i]``, whose column 0 is node (k-1) _BLOCK (node 0 for k < 2).  The
+    panels of blocks <= k-2 lie at least delta, the shortest length of a
+    block k-1, from every target in block k.  There the kernel is a sum of
+    exponentials, so the far integral of row i is
+    at_row[i] @ M(k), with at_row[i] = c om exp(-s (z_i - E_(k-2))), E_b the
+    node ending block b, and M(k) the moments of the linear interpolant
+    against exp(-s (E_(k-2) - u)) over blocks <= k-2.  ``moments[b]`` maps
+    block b's B + 1 node values to their moments referred to E_b, and
+    M(k) = decay[k-2] M(k-1) + moments[k-2] @ v, with decay[b] =
+    exp(-s (E_b - E_(b-1))).  Every factor is exp(-s d) with d >= 0.
+
+    The far rows of the last call are kept with the far values they came
+    from.  The solver's frozen-history calls within one row block share
+    those values, so a solve runs the recurrence about once per block.
+    """
+
+    def __init__(self, grid: Grid, terms: KernelTerms):
+        [(coef, e)] = terms
+        B = _BLOCK
+        n = grid.n
+        z = grid.nodes_z
+        u = np.concatenate(([0.0], z))
+        self.band = np.zeros((n, 2 * B + 1))
+        for r0 in range(0, n, B):
+            _weight_rows(grid, terms, True, r0, min(r0 + B, n), self.band[r0:r0 + B],
+                         col0=max(r0 - B, 0))
+        self._memo = (None, None)
+        n_far = -(-n // B) - 2  # blocks that are far from some row
+        if n_far < 1:
+            return
+        ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
+        s, om = _exp_sum(e, float(np.min(np.diff(ends))), u[-1])
+        om *= coef
+        self.decay = np.exp(-np.diff(ends[:n_far], prepend=0.0)[:, None] * s)
+        self.moments = np.zeros((n_far, B + 1, s.size))
+        self.at_row = np.zeros((n, s.size))
+        for b in range(n_far):
+            p0 = b * B
+            h = np.diff(u[p0:p0 + B + 1])[:, None]
+            to_end = h * np.exp(-s * (ends[b] - u[p0 + 1:p0 + B + 1])[:, None])
+            far, near = _hat_moments(s * h)
+            self.moments[b, :B] = far * to_end
+            self.moments[b, 1:] += near * to_end
+            rows = slice(p0 + 2 * B, p0 + 3 * B)
+            self.at_row[rows] = om * np.exp(-s * (z[rows] - ends[b])[:, None])
+
+    def rows(self, r0: int, r1: int, c0: int, residual: np.ndarray) -> np.ndarray:
+        """Rows [r0, r1) of the operator on ``residual`` at nodes c0, c0 + 1, ...."""
+        B = _BLOCK
+        k0, k1 = r0 // B, (r1 - 1) // B
+        c1 = c0 + residual.size
+        off = (k0 - 1) * B if k0 > 1 else 0
+        if k0 == k1 and c1 <= off + 2 * B + 1 and (c0 > off or k0 < 2):
+            # one row block and no far node: one slice of the band
+            return self.band[r0:r1, c0 - off:c1 - off] @ residual
+        out = np.empty(r1 - r0)
+        for k in range(k0, k1 + 1):
+            # the band of row block k; later nodes are past its rows' reach
+            a, b = max(r0, k * B), min(r1, (k + 1) * B)
+            off = (k - 1) * B if k > 1 else 0
+            lo = max(c0, off)
+            hi = max(lo, min(c1, off + 2 * B + 1))
+            out[a - r0:b - r0] = self.band[a:b, lo - off:hi - off] @ residual[lo - c0:hi - c0]
+        # the far panels of row block k end at node (k - 1) B
+        n_far = min(residual.size, (k1 - 1) * B + 1 - c0)
+        if k1 < 2 or n_far <= 0:
+            return out
+        far = residual[:n_far]
+        key = (k0, k1, c0, far.tobytes())
+        memo_key, far_rows = self._memo
+        if key != memo_key:
+            far_rows = self._far_rows(k0, k1, c0, far)
+            self._memo = (key, far_rows)
+        out += far_rows[r0 - k0 * B:r1 - k0 * B]
+        return out
+
+    def _far_rows(self, k0: int, k1: int, c0: int, far: np.ndarray) -> np.ndarray:
+        """Far integrals of the rows of blocks k0..k1, from ``far`` at nodes c0, c0 + 1, ...."""
+        B = _BLOCK
+        # the far blocks whose B + 1 nodes meet those of ``far``
+        b_lo, b_hi = max(-(-c0 // B) - 1, 0), min((c0 + far.size - 1) // B, k1 - 2)
+        v = np.zeros((b_hi + 1 - b_lo) * B + 1)
+        v[c0 - b_lo * B:c0 - b_lo * B + far.size] = far
+        windows = np.ndarray((b_hi + 1 - b_lo, 1, B + 1), buffer=v,
+                             strides=(B * v.itemsize, 0, v.itemsize))
+        block_moments = np.matmul(windows, self.moments[b_lo:b_hi + 1])[:, 0]
+        out = np.zeros(min((k1 + 1) * B, self.band.shape[0]) - k0 * B)
+        M = np.zeros(block_moments.shape[1])
+        for k in range(b_lo + 2, k1 + 1):
+            M = self.decay[k - 2] * M
+            if k - 2 <= b_hi:
+                M += block_moments[k - 2 - b_lo]
+            if k >= k0:
+                out[(k - k0) * B:(k - k0 + 1) * B] = self.at_row[k * B:(k + 1) * B] @ M
+        return out
+
+
+def _left_operator(grid: Grid, terms: KernelTerms):
+    """The left-kernel apply, (r0, r1, c0, residual) -> rows, for the grid's cache.
+
+    Compressed for one term c w^(e-1) with 0 < e < 1; other kernels (several
+    terms, or e >= 1) apply the dense matrix.
+    """
+    if len(terms) == 1 and 0.0 < terms[0][1] < 1.0:
+        return _CompressedLeft(grid, terms).rows
+    W = _weight_matrix(grid, terms, left_sided=True)
+
+    def apply(r0, r1, c0, residual):
+        return W[r0:r1, c0:c0 + residual.size] @ residual
+    return apply
+
+
 @lru_cache(maxsize=64)
 def _core_terms(terms: KernelTerms, sigma: float) -> tuple:
     """(coefficient, exponent) pairs of int_0^z K(z-u) u^sigma du, by the power rule."""
@@ -170,14 +377,18 @@ def _left_rows(grid: Grid, terms: KernelTerms, r0: int, r1: int, c0: int, residu
     ``residual`` holds the integrand less its core at the integration nodes
     c0, c0 + 1, ... of [0, z_1, ..., z_n], the rest counting as zero, so
     history and active columns can be applied apart.  The weights come from
-    the grid's cached matrix, or with ``cached=False`` from these rows alone.
+    the grid's cached kernel apply (see ``_left_operator``), or with
+    ``cached=False`` from dense weights of these rows alone.
     """
-    c1 = c0 + residual.size
     if cached:
-        W = _weight_matrix(grid, terms, left_sided=True)[r0:r1, c0:c1]
+        key = ("left-apply", terms)
+        apply = grid._cache.get(key)
+        if apply is None:
+            apply = grid._cache[key] = _left_operator(grid, terms)
+        out = apply(r0, r1, c0, residual)
     else:
-        W = _weight_rows(grid, terms, True, r0, r1, np.zeros((r1 - r0, grid.n + 1)))[:, c0:c1]
-    out = W @ residual
+        W = _weight_rows(grid, terms, True, r0, r1, np.zeros((r1 - r0, grid.n + 1)))
+        out = W[:, c0:c0 + residual.size] @ residual
     if core:
         out += core * _core_convolution(terms, sigma, grid.nodes_z[r0:r1])
     return out
@@ -187,8 +398,9 @@ def _kernel_apply_left(f: GridFn, terms: KernelTerms, r0: int = 0) -> np.ndarray
     """Rows [r0, n) of the left-sided kernel operator applied to f.
 
     The leading power r(0) z^sigma goes in closed form, the rest by product
-    integration.  All rows use the grid's cached matrix; fewer are built
-    alone, so the last row costs n panels per kernel term and no matrix.
+    integration.  All rows use the grid's cached kernel tables; fewer are
+    built alone, so the last row costs n panels per kernel term and no
+    matrix.
     """
     if f.sigma <= -1.0:
         raise ValidationError(

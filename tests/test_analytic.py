@@ -185,6 +185,19 @@ class TestPowerWeightedSolution:
             PowerWeightedSpec(p, 1.0, -0.5, 1.0)
 
 
+@pytest.mark.parametrize("field", ["lam", "c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda p, lam, c: LinearProblemSpec(p, lam, c),
+    lambda p, lam, c: PowerWeightedSpec(p, lam, 0.5, c),
+], ids=["linear", "power-weighted"])
+def test_specs_refuse_nonfinite_numbers_by_name(make, field, value):
+    p = make_params(0.5, 0.0, 2.0, 1.0, 2.0)
+    args = {"lam": -1.0, "c": 1.0, field: value}
+    with pytest.raises(ValidationError, match=rf"^{field} must be finite"):
+        make(p, **args)
+
+
 class TestCoefficients:
     def test_consistent_with_kilbas_saigo_series(self):
         alpha, xi, x = 0.5, 0.5, 0.2

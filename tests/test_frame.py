@@ -181,6 +181,11 @@ class TestGridFn:
         with pytest.raises(ValidationError):
             GridFn(self.g, 0.0, np.ones(5))
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_sigma_is_refused_by_name(self, sigma):
+        with pytest.raises(ValidationError, match="sigma must be finite"):
+            GridFn(self.g, sigma, np.ones(self.g.n))
+
     def test_pure_power_detection(self):
         assert GridFn.constant(self.g, 2.0, sigma=0.5).is_pure_power
         assert not GridFn.from_z_function(self.g, lambda u: u).is_pure_power

@@ -14,6 +14,7 @@ import pytest
 from hkfrac.errors import DomainError, ValidationError
 from hkfrac.frame import GridFn, make_graded_grid, make_params, weighted_norm
 from hkfrac.operators import (
+    _BLOCK,
     boundary_coefficient,
     gfd,
     gfi_left,
@@ -212,6 +213,99 @@ class TestBlockedWeightBuild:
                     log_gamma(e) + log_gamma(sigma + 1.0) - log_gamma(e + sigma + 1.0)
                 ) * z ** (e + sigma)
             assert np.array_equal(_core_convolution(terms, sigma, z), ref)
+
+
+def _families():
+    return {
+        "hk": make_params(0.5, 0.5, 2.0, 1.0, 2.0),
+        "hilfer": make_params(0.6, 0.4, 1.0, 1.0, 2.0),
+        "hadamard": make_params(0.5, 0.5, "hadamard", 1.0, 2.0),
+    }
+
+
+class TestCompressedLeftKernel:
+    """Exact near weights plus a sum-of-exponentials far field, against the dense matrix."""
+
+    @pytest.mark.parametrize("e", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("delta, z_top", [(1e-3, 1.0), (2e-8, 2.5), (1e-12, 0.7)])
+    def test_exp_sum_meets_its_relative_bound(self, e, delta, z_top):
+        from hkfrac.operators import _EXP_SUM_TOL, _exp_sum
+
+        s, om = _exp_sum(e, delta, z_top)
+        w = np.geomspace(delta, z_top, 3000)
+        approx = np.exp(-np.outer(w, s)) @ om
+        assert np.max(np.abs(approx / w ** (e - 1.0) - 1.0)) <= _EXP_SUM_TOL
+
+    def test_hat_moments_match_high_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        from hkfrac.operators import _hat_moments
+
+        x = np.geomspace(1e-9, 60.0, 400)
+        far, near = _hat_moments(x)
+        with mpmath.workdps(40):
+            for xi, got_far, got_near in zip(x, far, near):
+                X = mpmath.mpf(float(xi))
+                want_far = (1 - mpmath.exp(-X) * (1 + X)) / X**2
+                want_near = (X - 1 + mpmath.exp(-X)) / X**2
+                assert abs(got_far - want_far) <= 4e-16 * want_far
+                assert abs(got_near - want_near) <= 4e-16 * want_near
+
+    @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
+    @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
+    def test_row_ranges_match_the_dense_oracle(self, family, n):
+        from hkfrac.operators import _left_rows, _plain_kernel, _weight_matrix
+
+        B = _BLOCK
+        p = _families()[family]
+        g = make_graded_grid(p, n)
+        terms = _plain_kernel(p.alpha)
+        W = _weight_matrix(g, terms, left_sided=True)
+        v = np.concatenate(([0.0], np.cos(3.0 * g.nodes_z) + np.sin(40.0 * g.nodes_z)))
+
+        def close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+        close(_left_rows(g, terms, 0, n, 0, v), W @ v)
+        # row ranges and history/active splits that cross block boundaries
+        for r0, r1, split in ((0, n, n // 3), (B - 3, 2 * B + 4, B + 7), (2 * B - 1, 3 * B + 2, B - 1),
+                              (3 * B, 3 * B + 5, 2 * B), (n - 5, n, n // 2), (n - 5, n, n - 4)):
+            want = W[r0:r1] @ v
+            history = _left_rows(g, terms, r0, r1, 0, v[:split])
+            active = _left_rows(g, terms, r0, r1, split, v[split:r1 + 1])
+            close(history + active, want)
+            close(history, W[r0:r1, :split] @ v[:split])
+        # a call whose far values changed is not served from the call before
+        r0, r1 = n - 3, n
+        before = _left_rows(g, terms, r0, r1, 0, v[:r0 + 1])
+        w = v.copy()
+        w[5] += 1.0
+        after = _left_rows(g, terms, r0, r1, 0, w[:r0 + 1])
+        close(after, W[r0:r1, :r0 + 1] @ w[:r0 + 1])
+        assert not np.array_equal(before, after)
+
+    @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
+    @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
+    def test_exact_on_linear_functions(self, family, n):
+        from hkfrac.operators import _left_rows, _plain_kernel
+
+        g = make_graded_grid(_families()[family], n)
+        z = g.nodes_z
+        [(coef, e)] = terms = _plain_kernel(0.45)
+        c0, c1 = 0.7, 1.3
+        got = _left_rows(g, terms, 0, n, 0, c0 + c1 * np.concatenate(([0.0], z)))
+        expected = coef * (c0 * z**e / e + c1 * z ** (e + 1.0) / (e * (e + 1.0)))
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_cold_apply_memory_is_far_below_the_dense_matrix(self):
+        g = make_graded_grid(make_params(0.5, 0.5, 2.0, 1.0, 2.0), 4096)
+        f = GridFn(g, 0.0, 1.0 + g.nodes_z)
+        tracemalloc.start()
+        try:
+            gfi_left(f, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20  # the dense matrix alone is 134 MB
 
 
 class TestPowerRuleAnalytic:

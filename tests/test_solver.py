@@ -303,6 +303,24 @@ class TestFrozenHistory:
         got = report.solution.regular_values
         assert np.max(np.abs(got - reg)) <= 1e-13 * np.max(np.abs(reg))
 
+    @pytest.mark.parametrize("params", [
+        make_params(0.5, 0.5, 2.0, 1.0, 2.0),
+        make_params(0.6, 0.4, 1.0, 1.0, 2.0),
+    ], ids=["hilfer-katugampola", "hilfer"])
+    def test_compressed_kernel_solve_matches_the_dense_sweep(self, params):
+        # at n = 2048 the left kernel's far field is a sum of exponentials;
+        # the reference multiplies the dense weight matrix
+        n, tol = 2048, 1e-10
+        problem = CauchyProblem.linear(params, -1.0, np.cos, 1.0)
+        report = picard_solve(problem, SolverConfig(n=n, tol=tol))
+        iterations, reg = _whole_history_solve(problem, n, tol)
+        grid = report.grid
+        ends, _ = _snap_breakpoints(grid, lipschitz_estimate(problem))
+        assert np.array_equal(report.breakpoints, grid.nodes_x[np.asarray(ends) - 1])
+        assert report.iterations == iterations
+        got = report.solution.regular_values
+        assert np.max(np.abs(got - reg)) <= 1e-12 * np.max(np.abs(reg))
+
     def test_nonfinite_rhs_in_a_later_subinterval_names_x_and_subinterval(self):
         p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
 
