@@ -20,17 +20,20 @@ pure power r(0) * z^sigma, whose image is known in closed form (the power
 rule J^a z^(xi-1) = Gamma(xi)/Gamma(a+xi) z^(a+xi-1)); the remainder vanishes
 at the first node and is integrated numerically.
 
-The right-sided weights are a dense n x n matrix, cached on the grid per
-kernel and built in fixed blocks of target rows over only the panels their
-rows touch.  The left kernel c w^(e-1) with 0 < e < 1 is never formed as a
-matrix: each target row keeps the exact weights of the panels in its own and
-the previous block of _BLOCK panels, and the panels further left are
-integrated against a sum of exponentials whose moments carry from block to
-block (``_CompressedLeft``).  That costs O(n N_exp) time and memory
-instead of O(n^2); N_exp is about 40-200 at orders 0.3-0.9 and n up to
-4096, more on the steeper grids of small orders.  Left kernels of several
-terms (the closed-form oracle's Mittag-Leffler expansion) or with e >= 1
-keep dense weights.
+The weights are built on a node array and use only differences of its
+nodes.  The right-sided integral at z_i, over [z_i, z_n], is the left one at
+-z_i on the reflected nodes -z_n, ..., -z_1, so both sides share one
+left-kernel apply, cached on the grid per side and kernel.  The kernel
+c w^(e-1) with 0 < e < 1 is never formed as a matrix: each target row keeps
+the exact weights of the panels in its own and the previous block of _BLOCK
+panels, and the panels further back are integrated against a sum of
+exponentials whose moments carry from block to block
+(``_CompressedLeft``).  That costs O(n N_exp) time and memory instead of
+O(n^2); N_exp is about 40-200 at orders 0.3-0.9 and n up to 4096, more on
+the steeper grids of small orders.  Kernels of several terms (the
+closed-form oracle's Mittag-Leffler expansion) or with e >= 1 keep dense
+weights, built in fixed blocks of target rows over only the panels their
+rows touch.
 
 Every left-sided integral runs through one row-range apply, ``_left_rows``
 (core plus weights on target rows [r0, r1), history and active columns
@@ -82,33 +85,29 @@ def _snap_exponent(sigma: float) -> float:
 _ROW_BLOCK = 32
 
 
-def _weight_rows(grid: Grid, terms: KernelTerms, left_sided: bool, r0: int, r1: int,
-                 out: np.ndarray, col0: int = 0) -> np.ndarray:
-    """Rows [r0, r1) of the product-integration weights for the kernel sum_c c * w^(e-1).
+def _weight_rows(u: np.ndarray, terms: KernelTerms, r0: int, r1: int, out: np.ndarray,
+                 col0: int = 0) -> np.ndarray:
+    """Rows [r0, r1) of the left product-integration weights on nodes u for sum_c c * w^(e-1).
 
-    Over panel [u_j, u_{j+1}] at kernel distances w_near/w_far from target z_i
-    (the near endpoint is u_{j+1} on the left side, u_j on the right), the
-    linear interpolant puts (w_far I0 - I1)/h on the near node and
-    (I1 - w_near I0)/h on the far one, where I_p = (w_far^p - w_near^p)/p for
-    p = e, e + 1 is computed as -w_far^p expm1(p log(w_near/w_far))/p: stable
-    when w_near ~ w_far, and w_far^p/p on the panel ending at the target,
-    where w_near = 0 and expm1(-inf) = -1.  Only the panels the rows touch
-    are evaluated, and log(w_near/w_far) is shared by both exponents of every
-    term.  The rows are added into ``out``, whose column c is node col0 + c,
-    and returned; on the left the panels start at node col0.
+    Row i integrates over [u_0, u_(i+1)] against node values at u_0, u_1, ...;
+    only differences of u enter, so any shift or reflection of the nodes
+    that keeps their differences keeps the weights.  Over panel [u_j, u_(j+1)]
+    at kernel distances w_far = t - u_j and w_near = t - u_(j+1) from the
+    target t, the linear interpolant puts (w_far I0 - I1)/h on the near node
+    u_(j+1) and (I1 - w_near I0)/h on the far one, where I_p = (w_far^p -
+    w_near^p)/p for p = e, e + 1 is computed as -w_far^p expm1(p
+    log(w_near/w_far))/p: stable when w_near ~ w_far, and w_far^p/p on the
+    panel ending at the target, where w_near = 0 and expm1(-inf) = -1.  Only
+    the panels the rows touch are evaluated, and log(w_near/w_far) is shared
+    by both exponents of every term.  The rows are added into ``out``, whose
+    column c is node col0 + c, and returned; the panels start at node col0.
     """
-    z = grid.nodes_z
-    u = np.concatenate(([0.0], z)) if left_sided else z
-    t = z[r0:r1, None]
-    # the panels j <= i on the left, j >= i on the right, of any row in the range
-    lo, hi = (col0, r1) if left_sided else (r0, grid.n - 1)
+    t = u[r0 + 1:r1 + 1, None]
+    lo, hi = col0, r1  # the panels j <= i of any row in the range
     if lo >= hi:
         return out
     h = u[lo + 1:hi + 1] - u[lo:hi]
-    if left_sided:
-        w_far, w_near = t - u[lo:hi], t - u[lo + 1:hi + 1]
-    else:
-        w_near, w_far = u[lo:hi] - t, u[lo + 1:hi + 1] - t
+    w_far, w_near = t - u[lo:hi], t - u[lo + 1:hi + 1]
     # a panel past the target gets harmless distances and no weight
     untouched = w_near < 0.0
     np.putmask(w_near, untouched, 0.0)
@@ -125,32 +124,45 @@ def _weight_rows(grid: Grid, terms: KernelTerms, left_sided: bool, r0: int, r1: 
     np.putmask(to_near, untouched, 0.0)
     np.putmask(to_far, untouched, 0.0)
     lo, hi = lo - col0, hi - col0
-    if left_sided:
-        out[:, lo:hi] += to_far
-        out[:, lo + 1:hi + 1] += to_near
-    else:
-        out[:, lo:hi] += to_near
-        out[:, lo + 1:hi + 1] += to_far
+    out[:, lo:hi] += to_far
+    out[:, lo + 1:hi + 1] += to_near
     return out
 
 
-def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarray:
-    """Weights with (J f)(z_i) = sum_j W[i, j] f(u_j), built in row blocks, cached on the grid.
-
-    The nodes u are [0, z_1, ..., z_n] on the left (u_0 = 0 is the excluded
-    endpoint, where the callers' integrand vanishes) and z_1, ..., z_n on the
-    right, whose row i integrates over [z_i, z_n].
-    """
-    key = ("left" if left_sided else "right", terms)
-    cached = grid._cache.get(key)
-    if cached is not None:
-        return cached
-    n = grid.n
-    W = np.zeros((n, n + 1 if left_sided else n))
+def _dense_weights(u: np.ndarray, terms: KernelTerms) -> np.ndarray:
+    """All rows of the left weights on nodes u: an (len(u) - 1, len(u)) matrix, built in row blocks."""
+    n = u.size - 1
+    W = np.zeros((n, n + 1))
     for r0 in range(0, n, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, n)
-        _weight_rows(grid, terms, left_sided, r0, r1, out=W[r0:r1])
-    grid._cache[key] = W
+        _weight_rows(u, terms, r0, min(r0 + _ROW_BLOCK, n), out=W[r0:r0 + _ROW_BLOCK])
+    return W
+
+
+def _left_nodes(grid: Grid) -> np.ndarray:
+    """[0, z_1, ..., z_n]; u_0 = 0 is the excluded endpoint a, where the integrands vanish."""
+    return np.concatenate(([0.0], grid.nodes_z))
+
+
+def _right_nodes(grid: Grid) -> np.ndarray:
+    """-z_n, ..., -z_1: the right integral at z_i over [z_i, z_n] is the left one at -z_i.
+
+    Negation keeps every difference bit-equal to z_j - z_i, where a shift
+    z_n - z would round the tiny panels near a onto each other.
+    """
+    return -grid.nodes_z[::-1]
+
+
+def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarray:
+    """Dense weights with (J f)(z_i) = sum_j W[i, j] f(u_j), the tests' oracle.
+
+    The nodes u are [0, z_1, ..., z_n] on the left and z_1, ..., z_n on the
+    right, whose row i integrates over [z_i, z_n]: the left weights on the
+    reflected nodes, mirrored, with an empty last row.
+    """
+    if left_sided:
+        return _dense_weights(_left_nodes(grid), terms)
+    W = np.zeros((grid.n, grid.n))
+    W[:-1] = _dense_weights(_right_nodes(grid), terms)[::-1, ::-1]
     return W
 
 
@@ -256,24 +268,22 @@ class _CompressedLeft:
     those values, so a solve runs the recurrence about once per block.
     """
 
-    def __init__(self, grid: Grid, terms: KernelTerms):
+    def __init__(self, u: np.ndarray, terms: KernelTerms):
         [(coef, e)] = terms
         B = _BLOCK
-        n = grid.n
-        z = grid.nodes_z
-        u = np.concatenate(([0.0], z))
+        n = u.size - 1
+        z = u[1:]
         self.band = np.zeros((n, 2 * B + 1))
         for r0 in range(0, n, B):
-            _weight_rows(grid, terms, True, r0, min(r0 + B, n), self.band[r0:r0 + B],
-                         col0=max(r0 - B, 0))
+            _weight_rows(u, terms, r0, min(r0 + B, n), self.band[r0:r0 + B], col0=max(r0 - B, 0))
         self._memo = (None, None)
         n_far = -(-n // B) - 2  # blocks that are far from some row
         if n_far < 1:
             return
         ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
-        s, om = _exp_sum(e, float(np.min(np.diff(ends))), u[-1])
+        s, om = _exp_sum(e, float(np.min(np.diff(ends))), u[-1] - u[0])
         om *= coef
-        self.decay = np.exp(-np.diff(ends[:n_far], prepend=0.0)[:, None] * s)
+        self.decay = np.exp(-np.diff(ends[:n_far], prepend=u[0])[:, None] * s)
         self.moments = np.zeros((n_far, B + 1, s.size))
         self.at_row = np.zeros((n, s.size))
         for b in range(n_far):
@@ -337,18 +347,31 @@ class _CompressedLeft:
         return out
 
 
-def _left_operator(grid: Grid, terms: KernelTerms):
-    """The left-kernel apply, (r0, r1, c0, residual) -> rows, for the grid's cache.
+def _left_operator(u: np.ndarray, terms: KernelTerms):
+    """The left-kernel apply on nodes u, (r0, r1, c0, residual) -> rows.
 
     Compressed for one term c w^(e-1) with 0 < e < 1; other kernels (several
     terms, or e >= 1) apply the dense matrix.
     """
     if len(terms) == 1 and 0.0 < terms[0][1] < 1.0:
-        return _CompressedLeft(grid, terms).rows
-    W = _weight_matrix(grid, terms, left_sided=True)
+        return _CompressedLeft(u, terms).rows
+    W = _dense_weights(u, terms)
 
     def apply(r0, r1, c0, residual):
         return W[r0:r1, c0:c0 + residual.size] @ residual
+    return apply
+
+
+def _cached_apply(grid: Grid, terms: KernelTerms, side: str):
+    """The grid's kernel apply for one side, built on first use (see ``_left_operator``).
+
+    The right side is the left apply on the reflected nodes ``_right_nodes``.
+    """
+    key = (side + "-apply", terms)
+    apply = grid._cache.get(key)
+    if apply is None:
+        u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
+        apply = grid._cache[key] = _left_operator(u, terms)
     return apply
 
 
@@ -377,17 +400,13 @@ def _left_rows(grid: Grid, terms: KernelTerms, r0: int, r1: int, c0: int, residu
     ``residual`` holds the integrand less its core at the integration nodes
     c0, c0 + 1, ... of [0, z_1, ..., z_n], the rest counting as zero, so
     history and active columns can be applied apart.  The weights come from
-    the grid's cached kernel apply (see ``_left_operator``), or with
+    the grid's cached kernel apply (see ``_cached_apply``), or with
     ``cached=False`` from dense weights of these rows alone.
     """
     if cached:
-        key = ("left-apply", terms)
-        apply = grid._cache.get(key)
-        if apply is None:
-            apply = grid._cache[key] = _left_operator(grid, terms)
-        out = apply(r0, r1, c0, residual)
+        out = _cached_apply(grid, terms, "left")(r0, r1, c0, residual)
     else:
-        W = _weight_rows(grid, terms, True, r0, r1, np.zeros((r1 - r0, grid.n + 1)))
+        W = _weight_rows(_left_nodes(grid), terms, r0, r1, np.zeros((r1 - r0, grid.n + 1)))
         out = W[:, c0:c0 + residual.size] @ residual
     if core:
         out += core * _core_convolution(terms, sigma, grid.nodes_z[r0:r1])
@@ -444,12 +463,17 @@ def gfi_right(f: GridFn, order: float) -> GridFn:
 
     Mirror of :func:`gfi_left` with kernel (z(t) - z(x))^(order-1) on [x, b];
     the integration domain excludes the singular endpoint a, so the node
-    values are integrated directly (no singular core to subtract).
+    values are integrated directly (no singular core to subtract).  Row z_i
+    is the left integral at -z_i on the reflected nodes -z_n, ..., -z_1 of
+    the values in reverse; the row at b is an empty integral.
     """
     if not order > 0.0:
         raise ValidationError(f"integral order must satisfy order > 0 (got {order})")
-    W = _weight_matrix(f.grid, _plain_kernel(order), left_sided=False)
-    return GridFn(f.grid, 0.0, W @ f.values)
+    n = f.grid.n
+    out = np.zeros(n)
+    apply = _cached_apply(f.grid, _plain_kernel(order), "right")
+    out[:-1] = apply(0, n - 1, 0, f.values[::-1])[::-1]
+    return GridFn(f.grid, 0.0, out)
 
 
 def _dz_derivative(f: GridFn) -> GridFn:

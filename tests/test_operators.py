@@ -168,12 +168,21 @@ class TestBlockedWeightBuild:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_row_ranges_built_alone_equal_the_matrix_rows(self, side):
-        from hkfrac.operators import _ROW_BLOCK, _weight_rows
+        from hkfrac.operators import _ROW_BLOCK, _left_nodes, _right_nodes, _weight_rows
 
         g, terms, W = self._fresh_weights(side, "ml")
-        for r0, r1 in ((0, 1), (_ROW_BLOCK - 3, _ROW_BLOCK + 4), (g.n - 1, g.n)):
-            rows = _weight_rows(g, terms, side == "left", r0, r1, np.zeros((r1 - r0, W.shape[1])))
-            assert np.array_equal(rows, W[r0:r1])
+        n = g.n
+        for r0, r1 in ((0, 1), (_ROW_BLOCK - 3, _ROW_BLOCK + 4), (n - 1, n)):
+            rows = np.zeros((r1 - r0, W.shape[1]))
+            if side == "left":
+                _weight_rows(_left_nodes(g), terms, r0, r1, rows)
+            elif r0 < n - 1:
+                # right row i is reflected row n - 2 - i; the row at b stays empty
+                r1 = min(r1, n - 1)
+                reflected = _weight_rows(_right_nodes(g), terms, n - 1 - r1, n - 1 - r0,
+                                         np.zeros((r1 - r0, n)))
+                rows[:r1 - r0] = reflected[::-1, ::-1]
+            assert np.array_equal(rows, W[r0:r0 + rows.shape[0]])
 
     def test_row_range_apply_adds_history_and_active_columns(self):
         from hkfrac.operators import _left_rows
@@ -220,6 +229,7 @@ def _families():
         "hk": make_params(0.5, 0.5, 2.0, 1.0, 2.0),
         "hilfer": make_params(0.6, 0.4, 1.0, 1.0, 2.0),
         "hadamard": make_params(0.5, 0.5, "hadamard", 1.0, 2.0),
+        "katugampola": make_params(0.3, 0.0, 2.0, 1.0, 2.0),
     }
 
 
@@ -302,6 +312,102 @@ class TestCompressedLeftKernel:
         tracemalloc.start()
         try:
             gfi_left(f, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20  # the dense matrix alone is 134 MB
+
+
+class TestCompressedRightKernel:
+    """The right integral as the compressed left apply on the reflected nodes -z_n, ..., -z_1."""
+
+    @staticmethod
+    def _close(got, want, scale=None):
+        assert np.all(np.isfinite(got))
+        scale = np.max(np.abs(want)) if scale is None else scale
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_weights_integrate_hat_functions_with_the_far_field_active(self):
+        # rows i <= n - 2 - 2 B reach panels two blocks back in the reflected order
+        n = 3 * _BLOCK + 5
+        g = make_graded_grid(make_params(0.6, 0.0, 1.5, 1.0, 2.0), n, 3.0)
+        order = 0.45
+        nodes = g.nodes_z
+        weights = np.column_stack([gfi_right(GridFn(g, 0.0, hat_values(nodes, j)), order).values
+                                   for j in range(n)])
+        for i in (0, n - 2 - 2 * _BLOCK, n - 1 - 2 * _BLOCK, n - 2):
+            for j in range(i, n):
+                def hat(u, j=j):
+                    return np.interp(u, nodes, hat_values(nodes, j))
+                expected = 0.0
+                for k in (j - 1, j):  # the hat's support, within [z_i, z_n]
+                    if i <= k < n - 1:
+                        expected += singular_panel_integral(
+                            -nodes[i], -nodes[k + 1], -nodes[k], lambda v, hat=hat: hat(-v), order
+                        )
+                expected /= math.gamma(order)
+                assert weights[i, j] == pytest.approx(expected, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("grading", [4.0, 2.0 / 0.3, 20.0])
+    @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard", "katugampola"])
+    @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
+    def test_matches_the_dense_oracle(self, family, n, grading):
+        from hkfrac.operators import _plain_kernel, _weight_matrix
+
+        p = _families()[family]
+        g = make_graded_grid(p, n, grading)
+        v = np.cos(3.0 * g.nodes_z) + np.sin(40.0 * g.nodes_z)
+        W = _weight_matrix(g, _plain_kernel(p.alpha), left_sided=False)
+        self._close(gfi_right(GridFn(g, 0.0, v), p.alpha).values, W @ v)
+
+    @pytest.mark.parametrize("grading", [4.0, 2.0 / 0.3, 20.0])
+    @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard", "katugampola"])
+    def test_matches_the_dense_oracle_rows_at_4096(self, family, grading):
+        # dense rows built alone: the first rows carry the longest far fields
+        from hkfrac.operators import _plain_kernel, _right_nodes, _weight_rows
+
+        p = _families()[family]
+        n = 4096
+        g = make_graded_grid(p, n, grading)
+        v = np.cos(3.0 * g.nodes_z) + np.sin(40.0 * g.nodes_z)
+        got = gfi_right(GridFn(g, 0.0, v), p.alpha).values
+        for r0, r1 in ((0, 6), (n // 2 - 3, n // 2 + 3), (n - 7, n - 1)):
+            reflected = _weight_rows(_right_nodes(g), _plain_kernel(p.alpha),
+                                     n - 1 - r1, n - 1 - r0, np.zeros((r1 - r0, n)))
+            self._close(got[r0:r1], (reflected @ v[::-1])[::-1], scale=np.max(np.abs(got)))
+        assert got[-1] == 0.0
+
+    def test_reflection_keeps_the_tiny_panels_near_a(self):
+        # at grading 2/0.3 the first panels are far below the ulp of z_n: the
+        # reflected nodes must keep them apart, and the far field must refer
+        # to the reflected lower end, not to 0
+        from hkfrac.operators import _plain_kernel, _weight_matrix
+
+        p = make_params(0.3, 0.0, 2.0, 1.0, 2.0)
+        g = make_graded_grid(p, 2048, 2.0 / 0.3)
+        f = GridFn(g, 0.0, np.cos(3.0 * g.nodes_z) + 1.0)
+        got = gfi_right(f, 0.5).values  # cold: a fresh grid
+        self._close(got, _weight_matrix(g, _plain_kernel(0.5), left_sided=False) @ f.values)
+
+    @pytest.mark.parametrize("order", [1.0, 1.4])
+    def test_orders_of_one_and_above_take_the_dense_path(self, order):
+        from hkfrac.operators import _CompressedLeft, _cached_apply, _plain_kernel, _weight_matrix
+
+        g = make_graded_grid(make_params(0.5, 0.0, 2.0, 1.0, 2.0), 3 * _BLOCK + 5)
+        f = GridFn(g, 0.0, 1.0 + g.nodes_z**2)
+        got = gfi_right(f, order).values
+        apply = _cached_apply(g, _plain_kernel(order), "right")
+        assert not isinstance(getattr(apply, "__self__", None), _CompressedLeft)
+        assert isinstance(_cached_apply(g, _plain_kernel(0.5), "right").__self__, _CompressedLeft)
+        want = _weight_matrix(g, _plain_kernel(order), left_sided=False) @ f.values
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_cold_apply_memory_is_far_below_the_dense_matrix(self):
+        g = make_graded_grid(make_params(0.5, 0.5, 2.0, 1.0, 2.0), 4096)
+        f = GridFn(g, 0.0, 1.0 + g.nodes_z)
+        tracemalloc.start()
+        try:
+            gfi_right(f, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
