@@ -31,6 +31,7 @@ and non-finite numbers are rejected.  Example::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -143,10 +144,7 @@ def validate_config(config: dict) -> tuple:
     else:
         problem = CauchyProblem.linear(params, config["lambda"], source_fn, config["c"])
     if config["lipschitz"] is not None:
-        problem = CauchyProblem(
-            params, problem.rhs, config["c"],
-            lipschitz=config["lipschitz"], linear_coeff=problem.linear_coeff,
-        )
+        problem = dataclasses.replace(problem, lipschitz=config["lipschitz"])
     solver_config = SolverConfig(
         n=config["n"], grading=config["grading"],
         tol=config["tol"], max_iters=config["max_iters"],

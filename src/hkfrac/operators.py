@@ -23,17 +23,17 @@ at the first node and is integrated numerically.
 The weights are built on a node array and use only differences of its
 nodes.  The right-sided integral at z_i, over [z_i, z_n], is the left one at
 -z_i on the reflected nodes -z_n, ..., -z_1, so both sides share one
-left-kernel apply, cached on the grid per side and kernel.  The kernel
-c w^(e-1) with 0 < e < 1 is never formed as a matrix: each target row keeps
-the exact weights of the panels in its own and the previous block of _BLOCK
-panels, and the panels further back are integrated against a sum of
-exponentials whose moments carry from block to block
-(``_CompressedLeft``).  That costs O(n N_exp) time and memory instead of
-O(n^2); N_exp is about 40-200 at orders 0.3-0.9 and n up to 4096, more on
-the steeper grids of small orders.  Kernels of several terms (the
-closed-form oracle's Mittag-Leffler expansion) or with e >= 1 keep dense
-weights, built in fixed blocks of target rows over only the panels their
-rows touch.
+left-kernel apply, and no integral forms its whole weight matrix.  The
+kernel c w^(e-1) with 0 < e < 1 keeps, for each target row, the exact
+weights of the panels in its own and the previous block of _BLOCK panels,
+and the panels further back are integrated against a sum of exponentials
+whose moments carry from block to block (``_CompressedLeft``, cached on the
+grid per side and kernel).  That costs O(n N_exp) time and memory instead
+of O(n^2); N_exp is about 40-200 at orders 0.3-0.9 and n up to 4096, more
+on the steeper grids of small orders.  Kernels of several terms (the
+closed-form oracle's Mittag-Leffler expansion) or with e >= 1 build the
+weight rows asked for in blocks of _ROW_BLOCK, apply each block as soon as
+it is built and keep none.
 
 Every left-sided integral runs through one row-range apply, ``_left_rows``
 (core plus weights on target rows [r0, r1), history and active columns
@@ -129,15 +129,6 @@ def _weight_rows(u: np.ndarray, terms: KernelTerms, r0: int, r1: int, out: np.nd
     return out
 
 
-def _dense_weights(u: np.ndarray, terms: KernelTerms) -> np.ndarray:
-    """All rows of the left weights on nodes u: an (len(u) - 1, len(u)) matrix, built in row blocks."""
-    n = u.size - 1
-    W = np.zeros((n, n + 1))
-    for r0 in range(0, n, _ROW_BLOCK):
-        _weight_rows(u, terms, r0, min(r0 + _ROW_BLOCK, n), out=W[r0:r0 + _ROW_BLOCK])
-    return W
-
-
 def _left_nodes(grid: Grid) -> np.ndarray:
     """[0, z_1, ..., z_n]; u_0 = 0 is the excluded endpoint a, where the integrands vanish."""
     return np.concatenate(([0.0], grid.nodes_z))
@@ -159,11 +150,16 @@ def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarr
     right, whose row i integrates over [z_i, z_n]: the left weights on the
     reflected nodes, mirrored, with an empty last row.
     """
+    u = _left_nodes(grid) if left_sided else _right_nodes(grid)
+    n = u.size - 1
+    W = np.zeros((n, n + 1))
+    for r0 in range(0, n, _ROW_BLOCK):
+        _weight_rows(u, terms, r0, min(r0 + _ROW_BLOCK, n), out=W[r0:r0 + _ROW_BLOCK])
     if left_sided:
-        return _dense_weights(_left_nodes(grid), terms)
-    W = np.zeros((grid.n, grid.n))
-    W[:-1] = _dense_weights(_right_nodes(grid), terms)[::-1, ::-1]
-    return W
+        return W
+    mirrored = np.zeros((grid.n, grid.n))
+    mirrored[:-1] = W[::-1, ::-1]
+    return mirrored
 
 
 # Panels per block of the compressed left kernel.  At n = 4096, blocks of
@@ -347,32 +343,31 @@ class _CompressedLeft:
         return out
 
 
-def _left_operator(u: np.ndarray, terms: KernelTerms):
-    """The left-kernel apply on nodes u, (r0, r1, c0, residual) -> rows.
+def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int, c0: int,
+                 residual: np.ndarray) -> np.ndarray:
+    """Rows [r0, r1) of one side's kernel operator on ``residual`` at nodes c0, c0 + 1, ....
 
-    Compressed for one term c w^(e-1) with 0 < e < 1; other kernels (several
-    terms, or e >= 1) apply the dense matrix.
+    The nodes are ``_left_nodes`` on the left and the reflected
+    ``_right_nodes`` on the right.  One term c w^(e-1) with 0 < e < 1 goes
+    through the grid's ``_CompressedLeft`` tables, built on first use.  Other
+    kernels (several terms, or e >= 1) build the rows in blocks of
+    _ROW_BLOCK, each over the nodes its rows reach, and keep nothing.
     """
+    compressed = grid._cache.get((side, terms))
+    if compressed is not None:
+        return compressed.rows(r0, r1, c0, residual)
+    u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
     if len(terms) == 1 and 0.0 < terms[0][1] < 1.0:
-        return _CompressedLeft(u, terms).rows
-    W = _dense_weights(u, terms)
-
-    def apply(r0, r1, c0, residual):
-        return W[r0:r1, c0:c0 + residual.size] @ residual
-    return apply
-
-
-def _cached_apply(grid: Grid, terms: KernelTerms, side: str):
-    """The grid's kernel apply for one side, built on first use (see ``_left_operator``).
-
-    The right side is the left apply on the reflected nodes ``_right_nodes``.
-    """
-    key = (side + "-apply", terms)
-    apply = grid._cache.get(key)
-    if apply is None:
-        u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
-        apply = grid._cache[key] = _left_operator(u, terms)
-    return apply
+        compressed = grid._cache[(side, terms)] = _CompressedLeft(u, terms)
+        return compressed.rows(r0, r1, c0, residual)
+    out = np.zeros(r1 - r0)
+    for a in range(r0, r1, _ROW_BLOCK):
+        b = min(a + _ROW_BLOCK, r1)
+        c1 = min(c0 + residual.size, b + 1)  # rows below b reach node b at most
+        if c1 > c0:
+            W = _weight_rows(u, terms, a, b, np.zeros((b - a, b + 1)))
+            out[a - r0:b - r0] = W[:, c0:c1] @ residual[:c1 - c0]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -394,20 +389,14 @@ def _core_convolution(terms: KernelTerms, sigma: float, z: np.ndarray) -> np.nda
 
 
 def _left_rows(grid: Grid, terms: KernelTerms, r0: int, r1: int, c0: int, residual: np.ndarray,
-               core: float = 0.0, sigma: float = 0.0, cached: bool = True) -> np.ndarray:
+               core: float = 0.0, sigma: float = 0.0) -> np.ndarray:
     """Rows [r0, r1) of the left kernel operator on core * z^sigma + residual.
 
     ``residual`` holds the integrand less its core at the integration nodes
     c0, c0 + 1, ... of [0, z_1, ..., z_n], the rest counting as zero, so
-    history and active columns can be applied apart.  The weights come from
-    the grid's cached kernel apply (see ``_cached_apply``), or with
-    ``cached=False`` from dense weights of these rows alone.
+    history and active columns can be applied apart (see ``_kernel_rows``).
     """
-    if cached:
-        out = _cached_apply(grid, terms, "left")(r0, r1, c0, residual)
-    else:
-        W = _weight_rows(_left_nodes(grid), terms, r0, r1, np.zeros((r1 - r0, grid.n + 1)))
-        out = W[:, c0:c0 + residual.size] @ residual
+    out = _kernel_rows(grid, terms, "left", r0, r1, c0, residual)
     if core:
         out += core * _core_convolution(terms, sigma, grid.nodes_z[r0:r1])
     return out
@@ -417,9 +406,8 @@ def _kernel_apply_left(f: GridFn, terms: KernelTerms, r0: int = 0) -> np.ndarray
     """Rows [r0, n) of the left-sided kernel operator applied to f.
 
     The leading power r(0) z^sigma goes in closed form, the rest by product
-    integration.  All rows use the grid's cached kernel tables; fewer are
-    built alone, so the last row costs n panels per kernel term and no
-    matrix.
+    integration.  Through a kernel without compressed tables the last row
+    alone costs n panels per kernel term.
     """
     if f.sigma <= -1.0:
         raise ValidationError(
@@ -436,7 +424,7 @@ def _kernel_apply_left(f: GridFn, terms: KernelTerms, r0: int = 0) -> np.ndarray
     if not np.any(residual):
         # pure power: the core convolution is already exact
         return lead * _core_convolution(terms, f.sigma, z[r0:])
-    return _left_rows(grid, terms, r0, grid.n, 0, residual, lead, f.sigma, cached=r0 == 0)
+    return _left_rows(grid, terms, r0, grid.n, 0, residual, lead, f.sigma)
 
 
 def gfi_left(f: GridFn, order: float) -> GridFn:
@@ -471,8 +459,7 @@ def gfi_right(f: GridFn, order: float) -> GridFn:
         raise ValidationError(f"integral order must satisfy order > 0 (got {order})")
     n = f.grid.n
     out = np.zeros(n)
-    apply = _cached_apply(f.grid, _plain_kernel(order), "right")
-    out[:-1] = apply(0, n - 1, 0, f.values[::-1])[::-1]
+    out[:-1] = _kernel_rows(f.grid, _plain_kernel(order), "right", 0, n - 1, 0, f.values[::-1])[::-1]
     return GridFn(f.grid, 0.0, out)
 
 

@@ -172,6 +172,21 @@ class TestSolveCommand:
         out = tmp_path / "out.csv"
         assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
 
+    def test_grid_too_coarse_still_writes_report(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(
+            HOMOGENEOUS_CONFIG.replace("lambda = -1", "lambda = -10").replace("n = 256", "n = 512")
+        )
+        out = tmp_path / "out.json"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 3
+        assert "grid too coarse" in capsys.readouterr().err
+        report = json.loads(out.read_text())["report"]
+        assert report["converged"] is False
+        assert report["breakpoints"] == [2.0]
+        assert report["contraction_factors"] == []
+        assert report["residual_history"] == []
+        assert report["iterations"] == []
+
 
 class TestConfigParsing:
     def test_comments_and_blank_lines(self):
@@ -207,6 +222,7 @@ class TestConfigParsing:
             "tol = inf",
             "lambda = inf",
             "c = nan",
+            "lipschitz = -1",
         ],
     )
     def test_bad_number_is_a_config_error(self, tmp_path, capsys, line):

@@ -49,6 +49,25 @@ def singular_panel_integral(target, p, q, fn, e, points=80):
     return 0.5 * (s_hi - s_lo) * np.sum(ws * fn(target - s ** (1.0 / e))) / e
 
 
+def cold_apply_within(op, order, peak_bytes):
+    """op(f, order) on a fresh n = 4096 grid, whose dense weight matrix alone is 134 MB.
+
+    f = z - z_1 has no core at the first node, so the values are the
+    weights times the node values.  Asserts the tracemalloc peak of the
+    call is below ``peak_bytes``; returns the grid, f and the values.
+    """
+    g = make_graded_grid(make_params(0.5, 0.5, 2.0, 1.0, 2.0), 4096)
+    f = GridFn(g, 0.0, g.nodes_z - g.nodes_z[0])
+    tracemalloc.start()
+    try:
+        got = op(f, order).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_bytes
+    return g, f, got
+
+
 class TestWeightMatrices:
     """The product-integration weights against brute-force quadrature."""
 
@@ -185,7 +204,7 @@ class TestBlockedWeightBuild:
             assert np.array_equal(rows, W[r0:r0 + rows.shape[0]])
 
     def test_row_range_apply_adds_history_and_active_columns(self):
-        from hkfrac.operators import _left_rows
+        from hkfrac.operators import _core_convolution, _left_rows
 
         g, terms, W = self._fresh_weights("left", "ml")
         v = np.concatenate(([0.0], np.cos(3.0 * g.nodes_z)))
@@ -194,8 +213,8 @@ class TestBlockedWeightBuild:
         history = _left_rows(g, terms, r0, r1, 0, v[:split], 0.3, -0.2)
         active = _left_rows(g, terms, r0, r1, split, v[split:r1 + 1])
         np.testing.assert_allclose(history + active, whole, rtol=1e-14, atol=0.0)
-        alone = _left_rows(g, terms, r0, r1, 0, v, 0.3, -0.2, cached=False)
-        np.testing.assert_allclose(alone, whole, rtol=1e-14, atol=0.0)
+        want = W[r0:r1] @ v + 0.3 * _core_convolution(terms, -0.2, g.nodes_z[r0:r1])
+        np.testing.assert_allclose(whole, want, rtol=1e-14, atol=0.0)
 
     def test_build_memory_is_the_matrix_plus_one_block(self):
         from hkfrac.operators import _plain_kernel, _weight_matrix
@@ -307,15 +326,12 @@ class TestCompressedLeftKernel:
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
     def test_cold_apply_memory_is_far_below_the_dense_matrix(self):
-        g = make_graded_grid(make_params(0.5, 0.5, 2.0, 1.0, 2.0), 4096)
-        f = GridFn(g, 0.0, 1.0 + g.nodes_z)
-        tracemalloc.start()
-        try:
-            gfi_left(f, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * 2**20  # the dense matrix alone is 134 MB
+        from hkfrac.operators import _plain_kernel, _weight_matrix
+
+        for order in (0.5, 1.4):
+            g, f, got = cold_apply_within(gfi_left, order, 24 * 2**20)
+            W = _weight_matrix(g, _plain_kernel(order), left_sided=True)
+            np.testing.assert_allclose(got, W @ np.concatenate(([0.0], f.values)), rtol=1e-13, atol=0.0)
 
 
 class TestCompressedRightKernel:
@@ -391,27 +407,24 @@ class TestCompressedRightKernel:
 
     @pytest.mark.parametrize("order", [1.0, 1.4])
     def test_orders_of_one_and_above_take_the_dense_path(self, order):
-        from hkfrac.operators import _CompressedLeft, _cached_apply, _plain_kernel, _weight_matrix
+        from hkfrac.operators import _CompressedLeft, _kernel_rows, _plain_kernel, _weight_matrix
 
         g = make_graded_grid(make_params(0.5, 0.0, 2.0, 1.0, 2.0), 3 * _BLOCK + 5)
         f = GridFn(g, 0.0, 1.0 + g.nodes_z**2)
         got = gfi_right(f, order).values
-        apply = _cached_apply(g, _plain_kernel(order), "right")
-        assert not isinstance(getattr(apply, "__self__", None), _CompressedLeft)
-        assert isinstance(_cached_apply(g, _plain_kernel(0.5), "right").__self__, _CompressedLeft)
+        assert not g._cache  # dense rows are built per apply and kept nowhere
+        _kernel_rows(g, _plain_kernel(0.5), "right", 0, g.n - 1, 0, f.values[::-1])
+        assert [type(table) for table in g._cache.values()] == [_CompressedLeft]
         want = _weight_matrix(g, _plain_kernel(order), left_sided=False) @ f.values
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_cold_apply_memory_is_far_below_the_dense_matrix(self):
-        g = make_graded_grid(make_params(0.5, 0.5, 2.0, 1.0, 2.0), 4096)
-        f = GridFn(g, 0.0, 1.0 + g.nodes_z)
-        tracemalloc.start()
-        try:
-            gfi_right(f, 0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40 * 2**20  # the dense matrix alone is 134 MB
+        from hkfrac.operators import _plain_kernel, _weight_matrix
+
+        for order in (0.5, 1.4):
+            g, f, got = cold_apply_within(gfi_right, order, 24 * 2**20)
+            W = _weight_matrix(g, _plain_kernel(order), left_sided=False)
+            np.testing.assert_allclose(got, W @ f.values, rtol=1e-13, atol=0.0)
 
 
 class TestPowerRuleAnalytic:
