@@ -41,9 +41,9 @@ import numpy as np
 
 from . import verify
 from .errors import ConvergenceError, DomainError, ValidationError
-from .frame import HKParams, z_of_x
+from .frame import HKParams
 from .solver import CauchyProblem, SolverConfig, picard_solve
-from .sourceexpr import parse_source
+from .sourceexpr import _source_of_x
 from .specfun import MLQuery, ml2
 
 __all__ = ["main", "console_main", "parse_config_text", "validate_config"]
@@ -130,13 +130,7 @@ def validate_config(config: dict) -> tuple:
     messages name the violated bound.
     """
     params = HKParams(config["alpha"], config["beta"], config["rho"], config["a"], config["b"])
-    source_fn = None
-    if config["source"] is not None:
-        expr = parse_source(config["source"])
-
-        def source_fn(x, _expr=expr, _params=params):
-            return _expr.evaluate(x, z_of_x(_params, x))
-
+    source_fn = None if config["source"] is None else _source_of_x(config["source"], params)
     if config["xi"] is not None:
         problem = CauchyProblem.power_weighted(
             params, config["lambda"], config["xi"], config["c"], source_fn
@@ -158,31 +152,26 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _columns(report) -> dict:
+_COLUMNS = ("x", "z", "phi", "weighted_phi")
+
+
+def _columns(report) -> tuple:
+    """The arrays named by ``_COLUMNS``: nodes, solution and z^(1-gamma) phi."""
     grid = report.grid
-    gamma = grid.params.gamma
     values = report.solution.values
-    weighted = grid.nodes_z ** (1.0 - gamma) * values
-    return {
-        "x": [float(v) for v in grid.nodes_x],
-        "z": [float(v) for v in grid.nodes_z],
-        "phi": [float(v) for v in values],
-        "weighted_phi": [float(v) for v in weighted],
-    }
+    return grid.nodes_x, grid.nodes_z, values, grid.nodes_z ** (1.0 - grid.params.gamma) * values
 
 
 def _write_csv(path: Path, report) -> None:
-    cols = _columns(report)
-    lines = ["x,z,phi,weighted_phi"]
-    for row in zip(cols["x"], cols["z"], cols["phi"], cols["weighted_phi"]):
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack(_columns(report))
+    text = ",".join(_COLUMNS) + "\n" + "%.17g,%.17g,%.17g,%.17g\n" * len(table)
+    path.write_text(text % tuple(table.ravel().tolist()))
 
 
 def _write_json(path: Path, config: dict, report) -> None:
     payload = {
         "config": config,
-        "columns": _columns(report),
+        "columns": {name: col.tolist() for name, col in zip(_COLUMNS, _columns(report))},
         "report": {
             "family": report.grid.params.family,
             "converged": bool(report.converged),

@@ -91,8 +91,13 @@ class HKParams:
 
     @property
     def z_top(self) -> float:
-        """z(b), the length of the interval in the kernel coordinate."""
-        return float(z_of_x(self, self.b))
+        """z(b), the length of the interval in the kernel coordinate; the grids end there."""
+        a, b = self.a, self.b
+        if self.is_hadamard:
+            return math.log(b / a)
+        if a == 0.0:
+            return b**self.rho / self.rho
+        return a**self.rho * math.expm1(self.rho * math.log(b / a)) / self.rho
 
     @property
     def family(self) -> str:
@@ -148,8 +153,7 @@ def z_of_x(params: HKParams, x):
 
 def x_of_z(params: HKParams, z):
     """Inverse of :func:`z_of_x`; accepts a float or an ndarray."""
-    z_top = _z_top_raw(params)
-    _domain_check(params, z, 0.0, z_top, "z")
+    _domain_check(params, z, 0.0, params.z_top, "z")
     za = np.asarray(z, dtype=float)
     a = params.a
     if params.is_hadamard:
@@ -161,16 +165,6 @@ def x_of_z(params: HKParams, z):
         out = a * np.exp(np.log1p(rho * za / a**rho) / rho)
     out = np.clip(out, a, params.b)
     return out if isinstance(z, np.ndarray) else float(out)
-
-
-def _z_top_raw(params: HKParams) -> float:
-    a, b = params.a, params.b
-    if params.is_hadamard:
-        return math.log(b / a)
-    if a == 0.0:
-        return b**params.rho / params.rho
-    rho = params.rho
-    return a**rho * math.expm1(rho * math.log(b / a)) / rho
 
 
 @dataclass(frozen=True)
@@ -227,9 +221,8 @@ def make_graded_grid(params: HKParams, n: int, grading: Union[float, None] = Non
         grading = max(1.0, 2.0 / params.alpha)
     if not grading >= 1.0:
         raise ValidationError(f"grading must satisfy grading >= 1 (got {grading})")
-    z_top = _z_top_raw(params)
     s = np.arange(1, n + 1, dtype=float) / n
-    nodes_z = z_top * s**grading
+    nodes_z = params.z_top * s**grading
     nodes_x = x_of_z(params, nodes_z)
     nodes_x[-1] = params.b
     return Grid(params, nodes_x, nodes_z, float(grading))

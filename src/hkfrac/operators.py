@@ -29,11 +29,11 @@ weights of the panels in its own and the previous block of _BLOCK panels,
 and the panels further back are integrated against a sum of exponentials
 whose moments carry from block to block (``_CompressedLeft``, cached on the
 grid per side and kernel).  That costs O(n N_exp) time and memory instead
-of O(n^2); N_exp is about 40-200 at orders 0.3-0.9 and n up to 4096, more
-on the steeper grids of small orders.  Kernels of several terms (the
-closed-form oracle's Mittag-Leffler expansion) or with e >= 1 build the
-weight rows asked for in blocks of _ROW_BLOCK, apply each block as soon as
-it is built and keep none.
+of O(n^2); N_exp is 84-224 at order 0.5 for n = 512-65536, more on the
+steeper grids of small orders (210 at 0.3 and 532 at 0.1, n = 4096).
+Kernels of several terms (the closed-form oracle's Mittag-Leffler
+expansion) or with e >= 1 build the weight rows asked for in blocks of
+_ROW_BLOCK, apply each block as soon as it is built and keep none.
 
 Every left-sided integral runs through one row-range apply, ``_left_rows``
 (core plus weights on target rows [r0, r1), history and active columns

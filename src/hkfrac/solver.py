@@ -226,6 +226,7 @@ def _snap_breakpoints(grid: Grid, A: float) -> tuple[list, list]:
     return ends, factors
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) -> SolveReport:
     """Solve the Cauchy problem by successive approximations.
 
@@ -234,10 +235,14 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     (the known history part of the fixed-point map).  Iteration stops when
     the weighted norm ||phi_k - phi_{k-1}||_{1-gamma} falls below ``tol``;
     non-convergence raises :class:`ConvergenceError` carrying the partial
-    report.  A sweep whose residual is not finite ends the solve at once: a
-    non-finite rhs value raises :class:`DomainError` naming its x, and an
-    overflow of finite values raises :class:`ConvergenceError` without a
-    report.
+    report.  A sweep whose residual is not finite ends the solve at once.  At
+    the first sweep of a subinterval a non-finite rhs value raises
+    :class:`DomainError` naming its x, and an overflow of finite values
+    raises :class:`ConvergenceError` without a report; at a later sweep the
+    iterates have diverged, and :class:`ConvergenceError` carries the partial
+    report up to the last finite iterate.  Numpy's overflow and invalid-value
+    warnings are silenced for the whole solve, since the residual check
+    reports them.
     """
     params = problem.params
     grid = make_graded_grid(params, config.n, config.grading)
@@ -321,11 +326,15 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             new_reg = phi0_reg + up * (frozen + active)
             residual = float(np.abs(new_reg - reg[start:end]).max())
             if not math.isfinite(residual):
-                # a non-finite rhs value poisons every later node through W
-                refuse_nonfinite(f_vals, xs, s, k)
+                if k == 1:
+                    # the sweep started from phi_0: a non-finite rhs is the problem's
+                    refuse_nonfinite(f_vals, xs, s, k)
+                else:
+                    iterations.append(k - 1)  # the report keeps iterate k - 1
                 raise ConvergenceError(
                     f"Picard iterates overflowed on subinterval {s + 1} (sweep {k})",
                     history=[list(r) for r in residual_history],
+                    report=partial_report(False) if k > 1 else None,
                 )
             reg[start:end] = new_reg
             history.append(residual)

@@ -11,18 +11,22 @@ Grammar (whitespace-insensitive; "^" is right-associative):
 Variables: ``x`` is the independent variable; ``z`` is a convenience alias
 for the kernel coordinate z(x) and is supplied by the caller at evaluation
 time.  Functions: exp, ln, sin, cos, sqrt, abs.  A unicode minus sign is
-accepted as "-".  Evaluation is plain elementwise machine arithmetic
-(numpy semantics: sqrt of a negative number is NaN, division by zero is
-inf/NaN).
+accepted as "-".  Parsing compiles every subexpression to a closure
+(x, z) -> value, so evaluation runs no parse tree.  Evaluation is plain
+elementwise machine arithmetic (numpy semantics: sqrt of a negative number
+is NaN, division by zero is inf/NaN).
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable
 
 import numpy as np
+
+from .frame import HKParams, z_of_x
 
 __all__ = [
     "SourceExpr",
@@ -61,36 +65,13 @@ _FUNCTIONS = {
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
-
-@dataclass(frozen=True)
-class Num:
-    value: float
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+           "^": np.power}
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Node"
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
-
-
-Node = Union[Num, Var, Neg, BinOp, Call]
+def _binary(op: str, left: Callable, right: Callable) -> Callable:
+    fn = _BINARY[op]
+    return lambda x, z: fn(left(x, z), right(x, z))
 
 
 def _byte_offset(text: str, pos: int) -> int:
@@ -125,53 +106,51 @@ class _Parser:
         if not self.accept(char):
             self.error(f"expected {char!r}")
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> Callable:
+        fn = self.expr()
         if self.peek():
             self.error("unexpected trailing input")
-        return node
+        return fn
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            op = self.accept("+-")
-            if not op:
-                return node
-            node = BinOp(op, node, self.term())
+    def expr(self) -> Callable:
+        fn = self.term()
+        while op := self.accept("+-"):
+            fn = _binary(op, fn, self.term())
+        return fn
 
-    def term(self) -> Node:
-        node = self.factor()
-        while True:
-            op = self.accept("*/")
-            if not op:
-                return node
-            node = BinOp(op, node, self.factor())
+    def term(self) -> Callable:
+        fn = self.factor()
+        while op := self.accept("*/"):
+            fn = _binary(op, fn, self.factor())
+        return fn
 
-    def factor(self) -> Node:
-        node = self.unary()
+    def factor(self) -> Callable:
+        fn = self.unary()
         if self.accept("^"):
-            return BinOp("^", node, self.factor())  # right-associative
-        return node
+            return _binary("^", fn, self.factor())  # right-associative
+        return fn
 
-    def unary(self) -> Node:
+    def unary(self) -> Callable:
         if self.accept("-"):
-            return Neg(self.base())
+            operand = self.base()
+            return lambda x, z: -operand(x, z)
         return self.base()
 
-    def base(self) -> Node:
+    def base(self) -> Callable:
         self.skip_ws()
         if self.pos >= len(self.src):
             self.error("unexpected end of input")
         c = self.src[self.pos]
         if c == "(":
             self.pos += 1
-            node = self.expr()
+            fn = self.expr()
             self.expect(")")
-            return node
+            return fn
         m = _NUMBER_RE.match(self.src, self.pos)
         if m:
             self.pos = m.end()
-            return Num(float(m.group()))
+            value = np.float64(m.group())  # so 1/0 is inf, not a ZeroDivisionError
+            return lambda x, z: value
         m = _IDENT_RE.match(self.src, self.pos)
         if m:
             name = m.group()
@@ -181,47 +160,26 @@ class _Parser:
                 if name not in _FUNCTIONS:
                     raise UnknownIdentifierError(name, _byte_offset(self.text, start))
                 self.expect("(")
-                arg = self.expr()
+                fn, arg = _FUNCTIONS[name], self.expr()
                 self.expect(")")
-                return Call(name, arg)
+                return lambda x, z: fn(arg(x, z))
             if name in ("x", "z"):
-                return Var(name)
+                return (lambda x, z: x) if name == "x" else (lambda x, z: z)
             raise UnknownIdentifierError(name, _byte_offset(self.text, start))
         self.error(f"unexpected character {c!r}")
-
-
-def _evaluate(node: Node, x, z):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x if node.name == "x" else z
-    if isinstance(node, Neg):
-        return -_evaluate(node.operand, x, z)
-    if isinstance(node, Call):
-        return _FUNCTIONS[node.fn](_evaluate(node.arg, x, z))
-    left = _evaluate(node.left, x, z)
-    right = _evaluate(node.right, x, z)
-    if node.op == "+":
-        return left + right
-    if node.op == "-":
-        return left - right
-    if node.op == "*":
-        return left * right
-    if node.op == "/":
-        return left / right
-    return np.power(left, right)
 
 
 @dataclass(frozen=True)
 class SourceExpr:
     """A parsed expression; evaluate with concrete x (and z) values."""
 
-    ast: Node
+    _fn: Callable
 
     def evaluate(self, x, z=None):
         """Evaluate elementwise; x and z may be floats or ndarrays."""
+        za = None if z is None else np.asarray(z, dtype=float)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            out = _evaluate(self.ast, x, z)
+            out = self._fn(np.asarray(x, dtype=float), za)
         if isinstance(x, np.ndarray):
             return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
         return float(out)
@@ -233,3 +191,9 @@ def parse_source(text: str) -> SourceExpr:
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     return SourceExpr(_Parser(text).parse())
+
+
+def _source_of_x(text: str, params: HKParams) -> Callable:
+    """Parse ``text`` into a source s(x), with z = z(x) supplied from ``params``."""
+    expr = parse_source(text)
+    return lambda x: expr.evaluate(x, z_of_x(params, x))

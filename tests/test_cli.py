@@ -10,6 +10,7 @@ from hkfrac import cli, specfun
 from hkfrac.analytic import LinearProblemSpec, homogeneous_solution
 from hkfrac.errors import ValidationError
 from hkfrac.frame import make_params
+from hkfrac.solver import picard_solve
 
 HOMOGENEOUS_CONFIG = """\
 # homogeneous problem: D^(a,b) phi = -phi
@@ -156,6 +157,30 @@ class TestSolveCommand:
         assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert "not finite at x" in capsys.readouterr().err
+
+    def test_division_by_zero_in_the_source_exits_2_without_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(HOMOGENEOUS_CONFIG.replace("source = 0", "source = x + 1/0"))
+        out = tmp_path / "out.csv"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "not finite at x" in capsys.readouterr().err
+
+    def test_outputs_hold_the_solution_columns_to_seventeen_digits(self, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(HOMOGENEOUS_CONFIG.replace("source = 0", "source = (0.5*z^(1.5)) - sin(x)"))
+        csv_out, json_out = tmp_path / "out.csv", tmp_path / "out.json"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(csv_out)]) == 0
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(json_out), "--format", "json"]) == 0
+        _, problem, config = cli.validate_config(cli.parse_config_text(cfg.read_text()))
+        report = picard_solve(problem, config)
+        z, phi = report.grid.nodes_z, report.solution.values
+        columns = {"x": report.grid.nodes_x, "z": z, "phi": phi,
+                   "weighted_phi": z ** (1.0 - report.grid.params.gamma) * phi}
+        rows = [",".join(format(float(v), ".17g") for v in row) for row in zip(*columns.values())]
+        assert csv_out.read_text() == "\n".join(["x,z,phi,weighted_phi"] + rows) + "\n"
+        got = json.loads(json_out.read_text())["columns"]
+        assert got == {name: [float(v) for v in col] for name, col in columns.items()}
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["solve", "--config", "/nonexistent", "--out", "/tmp/x.csv"]) == 1

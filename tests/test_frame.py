@@ -142,6 +142,15 @@ class TestGrids:
         fine = make_graded_grid(p, 32, 3.0)
         assert np.all(np.isin(coarse.nodes_z, fine.nodes_z))
 
+    def test_z_top_is_the_last_node(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            rho = "hadamard" if rng.random() < 0.25 else float(rng.uniform(0.05, 4.0))
+            a = 0.0 if rho != "hadamard" and rho >= 1.0 and rng.random() < 0.2 else float(
+                rng.uniform(0.05, 3.0))
+            p = make_params(0.5, 0.5, rho, a, a + float(rng.uniform(1e-3, 5.0)))
+            assert p.z_top == make_graded_grid(p, int(rng.integers(8, 64))).nodes_z[-1], p
+
     def test_validation(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """Tests for the contraction-based Picard solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,19 @@ class TestPicardSolve:
                 np.errstate(over="ignore", invalid="ignore"):
             picard_solve(prob, SolverConfig(n=64))
         assert excinfo.value.report is None
+
+    def test_diverging_iterates_end_in_convergence_error_with_report(self):
+        # f = -phi^3: the first sweeps are finite, then the iterates blow up
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="overflowed") as excinfo:
+                picard_solve(CauchyProblem(p, lambda x, phi: -phi**3, 1.0), SolverConfig(n=4096))
+        report = excinfo.value.report
+        assert report is not None and not report.converged
+        assert report.iterations == [len(report.residual_history[0])]
+        assert report.iterations[0] >= 1
+        assert np.all(np.isfinite(report.solution.regular_values))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -57,6 +57,52 @@ class TestEvaluation:
     def test_numpy_domain_semantics(self):
         assert math.isnan(parse_source("sqrt(x - 10)").evaluate(2.0))
 
+    def test_division_by_zero_is_inf_not_an_exception(self):
+        assert parse_source("x/z").evaluate(1.0, 0.0) == math.inf
+        assert np.all(parse_source("x + 1/0").evaluate(np.ones(3)) == math.inf)
+
+
+# The compiled expressions must give exactly what the same numpy expression
+# gives, operation for operation: the solver's output bytes depend on it.
+_X = np.linspace(1.0, 2.0, 300)
+_Z = (_X**2 - 1.0) / 2.0
+
+
+@pytest.mark.parametrize(
+    "text,numpy_form",
+    [
+        # manufactured sources as the benchmark writes them: (k*z^(p)) + (c*z^(q)) [+ (f*z^(r))]
+        ("(1.1283791670955126*z^(0.9)) + (1.0*z^(1.4))",
+         lambda x, z: 1.1283791670955126 * np.power(z, 0.9) + 1.0 * np.power(z, 1.4)),
+        ("(1.3293403881791355*z^(1.0)) + (1.0*z^(1.5)) + (0.7978845608028654*z^(-0.25))",
+         lambda x, z: (1.3293403881791355 * np.power(z, 1.0) + 1.0 * np.power(z, 1.5))
+         + 0.7978845608028654 * np.power(z, -0.25)),
+        ("(-0.5*z^(1.45)) + (2.5*z^(0.85))",
+         lambda x, z: -0.5 * np.power(z, 1.45) + 2.5 * np.power(z, 0.85)),
+        ("-x", lambda x, z: -x),
+        ("-x^2", lambda x, z: np.power(-x, 2.0)),
+        ("x - - z", lambda x, z: x - -z),
+        ("x^z^0.5", lambda x, z: np.power(x, np.power(z, 0.5))),
+        ("2^-x^2", lambda x, z: np.power(2.0, np.power(-x, 2.0))),
+        ("x - z - 1 + 3", lambda x, z: ((x - z) - 1.0) + 3.0),
+        ("x / z / 2 * 3", lambda x, z: ((x / z) / 2.0) * 3.0),
+        ("exp(-z)", lambda x, z: np.exp(-z)),
+        ("ln(x)", lambda x, z: np.log(x)),
+        ("sin(x*z)", lambda x, z: np.sin(x * z)),
+        ("cos(x) - z", lambda x, z: np.cos(x) - z),
+        ("sqrt(z + 1)", lambda x, z: np.sqrt(z + 1.0)),
+        ("abs(1.5 - x)", lambda x, z: np.abs(1.5 - x)),
+        ("3", lambda x, z: np.full_like(x, 3.0)),
+    ],
+)
+def test_values_equal_the_numpy_expression(text, numpy_form):
+    expr = parse_source(text)
+    with np.errstate(divide="ignore"):
+        expected = numpy_form(_X, _Z)
+        assert np.array_equal(expr.evaluate(_X, _Z), expected)
+        assert [expr.evaluate(float(x), float(z)) for x, z in zip(_X[::37], _Z[::37])] == list(
+            expected[::37])
+
 
 class TestErrors:
     def test_syntax_error_carries_byte_offset(self):
