@@ -88,21 +88,31 @@ class PowerWeightedSpec:
             )
 
 
-def _check_in_domain(params: HKParams, x) -> np.ndarray:
+def _check_in_domain(params: HKParams, x, power: float) -> np.ndarray:
+    """x as an array; x = a is refused where the factor z^power diverges."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa <= params.a) or np.any(xa > params.b * (1 + 1e-12)):
-        raise ValidationError(f"x must satisfy a < x <= b (got {x})")
+    finite_at_a = power >= 0.0
+    above_a = xa >= params.a if finite_at_a else xa > params.a
+    bad = ~(above_a & (xa <= params.b * (1 + 1e-12)))  # NaN is bad too
+    if np.any(bad):
+        first = float(xa.flat[np.argmax(bad)])
+        lower = "a <= x" if finite_at_a else "a < x"
+        raise ValidationError(f"x must satisfy {lower} <= b (got x = {first!r})")
     return xa
 
 
 def homogeneous_solution(spec: LinearProblemSpec, x):
-    """phi(x) = c z^(gamma-1) E_{alpha,gamma}[lambda z^alpha] (zero source)."""
+    """phi(x) = c z^(gamma-1) E_{alpha,gamma}[lambda z^alpha] (zero source).
+
+    At x = a this is the limit c E_{alpha,1}(0) = c when gamma = 1; for
+    gamma < 1 the factor z^(gamma-1) diverges there and x = a is refused.
+    """
     if spec.source is not None:
         raise ValidationError("homogeneous solution requires source = None")
     params = spec.params
-    xa = _check_in_domain(params, x)
-    z = np.asarray(z_of_x(params, xa), dtype=float)
     g = params.gamma
+    xa = _check_in_domain(params, x, g - 1.0)
+    z = np.asarray(z_of_x(params, xa), dtype=float)
     out = spec.c * z ** (g - 1.0) * ml2(MLQuery(params.alpha, g, spec.lam * z**params.alpha))
     return out if isinstance(x, np.ndarray) else float(out)
 
@@ -134,13 +144,12 @@ def linear_solution(spec: LinearProblemSpec, x: float) -> float:
 
     The source integral runs on a 2048-node mesh over [a, x] with the
     default grading; only the weights of its last row, the target x, are
-    built.
+    built.  At x = a (allowed when gamma = 1) the source integral is zero.
     """
     params = spec.params
     x = float(x)
-    _check_in_domain(params, x)
     hom = homogeneous_solution(replace(spec, source=None), x)
-    if spec.source is None:
+    if spec.source is None or x == params.a:
         return float(hom)
     sub = HKParams(params.alpha, params.beta, params.rho, params.a, x)
     grid = make_graded_grid(sub, 2048)
@@ -152,8 +161,8 @@ def linear_solution(spec: LinearProblemSpec, x: float) -> float:
 def power_weighted_solution(spec: PowerWeightedSpec, x):
     """phi(x) = c/Gamma(alpha) z^(alpha-1) E_{alpha,l,m}[lambda z^(alpha+xi)]."""
     params = spec.params
-    xa = _check_in_domain(params, x)
     alpha = params.alpha
+    xa = _check_in_domain(params, x, alpha - 1.0)
     l = 1.0 + (spec.xi - 1.0) / alpha
     m = 1.0 + spec.xi / alpha
     pref = spec.c * math.exp(-log_gamma(alpha))

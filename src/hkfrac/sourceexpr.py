@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive; "^" is right-associative):
 
 Variables: ``x`` is the independent variable; ``z`` is a convenience alias
 for the kernel coordinate z(x) and is supplied by the caller at evaluation
-time.  Functions: exp, ln, sin, cos, sqrt, abs.  A unicode minus sign is
+time (an expression that uses z refuses an evaluation without it).
+Functions: exp, ln, sin, cos, sqrt, abs.  A unicode minus sign is
 accepted as "-".  Parsing compiles every subexpression to a closure
 (x, z) -> value, so evaluation runs no parse tree.  Evaluation is plain
 elementwise machine arithmetic (numpy semantics: sqrt of a negative number
@@ -26,6 +27,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import ValidationError
 from .frame import HKParams, z_of_x
 
 __all__ = [
@@ -83,6 +85,7 @@ class _Parser:
         self.text = text
         self.src = text.replace("−", "-")  # unicode minus
         self.pos = 0
+        self.uses_z = False
 
     def error(self, message: str):
         raise ExprSyntaxError(message, _byte_offset(self.text, self.pos))
@@ -163,8 +166,11 @@ class _Parser:
                 fn, arg = _FUNCTIONS[name], self.expr()
                 self.expect(")")
                 return lambda x, z: fn(arg(x, z))
-            if name in ("x", "z"):
-                return (lambda x, z: x) if name == "x" else (lambda x, z: z)
+            if name == "x":
+                return lambda x, z: x
+            if name == "z":
+                self.uses_z = True
+                return lambda x, z: z
             raise UnknownIdentifierError(name, _byte_offset(self.text, start))
         self.error(f"unexpected character {c!r}")
 
@@ -174,9 +180,15 @@ class SourceExpr:
     """A parsed expression; evaluate with concrete x (and z) values."""
 
     _fn: Callable
+    uses_z: bool
 
     def evaluate(self, x, z=None):
-        """Evaluate elementwise; x and z may be floats or ndarrays."""
+        """Evaluate elementwise; x and z may be floats or ndarrays.
+
+        z may be left out only when the expression does not use it.
+        """
+        if z is None and self.uses_z:
+            raise ValidationError("the expression uses z, so evaluate needs z (got z=None)")
         za = None if z is None else np.asarray(z, dtype=float)
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             out = self._fn(np.asarray(x, dtype=float), za)
@@ -190,7 +202,9 @@ def parse_source(text: str) -> SourceExpr:
     offset) or :class:`UnknownIdentifierError` (with the name)."""
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return SourceExpr(_Parser(text).parse())
+    parser = _Parser(text)
+    fn = parser.parse()
+    return SourceExpr(fn, parser.uses_z)
 
 
 def _source_of_x(text: str, params: HKParams) -> Callable:

@@ -169,7 +169,7 @@ def _geometric_certificate(report: solver.SolveReport) -> float:
 
 
 def run_picard() -> list:
-    return _picard_closed_form() + _picard_iterate_series() + _picard_golden()
+    return _picard_closed_form() + _picard_iterate_series() + _picard_golden() + _picard_stiff()
 
 
 def _picard_closed_form() -> list:
@@ -233,6 +233,19 @@ def _picard_golden() -> list:
         err = abs(got - ref) / max(1.0, abs(ref))
         case = f"linear golden source={entry['source']} x={entry['x']}"
         records.append(_record("picard", case, err, entry["tol"]))
+    return records
+
+
+def _picard_stiff() -> list:
+    # 242 and 256 subintervals, every one after the first started from the
+    # extrapolated frozen solution
+    records = []
+    for rho, lam in ((2.0, -5.0), ("hadamard", -8.0)):
+        params = make_params(0.5, 0.5, rho, 1.0, 2.0)
+        problem = solver.CauchyProblem.linear(params, lam, None, 1.0)
+        report = solver.picard_solve(problem, solver.SolverConfig(n=512, tol=1e-10))
+        records.append(_record("picard", f"stiff lambda={lam} rho={rho} n=512 geometric decay",
+                               _geometric_certificate(report), 1.0))
     return records
 
 

@@ -81,8 +81,9 @@ def test_criterion_8_picard_iterate_series_match():
 def test_picard_suite_runs_all_three_parts():
     records = verify.run_picard()
     cases = [r["case"] for r in records]
-    assert len(records) == 50
-    assert sum("closed-form gap" in c or "geometric decay" in c for c in cases) == 36
+    assert len(records) == 52
+    assert sum("closed-form gap" in c or "geometric decay" in c for c in cases) == 38
+    assert sum(c.startswith("stiff") for c in cases) == 2
     assert sum(c.startswith("iterate-series") for c in cases) == 12
     assert sum(c.startswith("linear golden") for c in cases) == 2
     assert verify.all_passed(records)

@@ -72,6 +72,40 @@ class TestHomogeneousSolution:
         with pytest.raises(ValidationError):
             homogeneous_solution(LinearProblemSpec(p, 0.0, 1.0), 1.0)
 
+    def test_refusal_names_the_first_offending_x(self):
+        p = make_params(0.5, 0.5, 1.0, 1.0, 2.0)
+        spec = LinearProblemSpec(p, -1.0, 1.0)
+        xs = np.concatenate((np.linspace(1.1, 2.0, 50), [0.75, 2.5]))
+        with pytest.raises(ValidationError, match=r"a < x <= b \(got x = 0\.75\)$"):
+            homogeneous_solution(spec, xs)
+        with pytest.raises(ValidationError, match=r"got x = nan"):
+            homogeneous_solution(spec, math.nan)
+
+    def test_gamma_one_takes_the_finite_limit_at_a(self):
+        # alpha = 0.3: three nodes of the solver's own 1024-node grid round to a
+        p = make_params(0.3, 1.0, 2.0, 1.0, 2.0)
+        grid = make_graded_grid(p, 1024)
+        at_a = grid.nodes_x == p.a
+        assert at_a.sum() == 3
+        spec = LinearProblemSpec(p, -1.0, 3.0)
+        values = homogeneous_solution(spec, grid.nodes_x)
+        assert np.all(np.isfinite(values))
+        # c E_{alpha,1}(0) = c, up to the rounding of 1/Gamma(1) in the series
+        assert values[at_a] == pytest.approx([3.0] * 3, rel=1e-14)
+        assert homogeneous_solution(spec, 1.0) == values[0]
+        assert values[3] == pytest.approx(3.0, rel=1e-3)  # the next node continues the limit
+        assert linear_solution(replace(spec, source=np.cos), 1.0) == values[0]
+
+    def test_gamma_below_one_still_refuses_x_equal_a(self):
+        p = make_params(0.3, 0.5, 2.0, 1.0, 2.0)
+        grid = make_graded_grid(p, 1024)
+        assert np.sum(grid.nodes_x == p.a) == 3
+        with pytest.raises(ValidationError, match=r"a < x <= b \(got x = 1\.0\)$"):
+            homogeneous_solution(LinearProblemSpec(p, -1.0, 3.0), grid.nodes_x)
+        with pytest.raises(ValidationError, match=r"got x = 1\.0\)$"):
+            power_weighted_solution(PowerWeightedSpec(make_params(0.3, 0.0, 2.0, 1.0, 2.0),
+                                                      -1.0, 0.5, 1.0), grid.nodes_x)
+
 
 class TestLinearSolution:
     def test_no_source_equals_homogeneous(self):

@@ -6,13 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
+from hkfrac import solver, verify
 from hkfrac.analytic import LinearProblemSpec, linear_solution
 from hkfrac.errors import ConvergenceError, DomainError, ValidationError
-from hkfrac.frame import make_graded_grid, make_params
+from hkfrac.frame import make_graded_grid, make_params, z_of_x
 from hkfrac.operators import _plain_kernel, _weight_matrix, hk_derivative, power_rule_analytic
 from hkfrac.solver import (
     CauchyProblem,
     SolverConfig,
+    _predicted_start,
     _snap_breakpoints,
     contraction_factor,
     lipschitz_estimate,
@@ -242,7 +244,8 @@ def _whole_history_solve(problem, n, tol, max_iters=200):
     """The sweep loop before the history split, as a reference.
 
     Every sweep evaluates the rhs on all of x[:end], takes the core from the
-    first node's f, and multiplies the whole W[start:end, :end + 1].
+    first node's f, and multiplies the whole W[start:end, :end + 1].  Each
+    later subinterval starts from the solver's own predicted iterate.
     """
     params = problem.params
     grid = make_graded_grid(params, n)
@@ -258,6 +261,8 @@ def _whole_history_solve(problem, n, tol, max_iters=200):
     iterations = []
     start = 0
     for end in ends:
+        if start > 0:
+            reg[start:end] = _predicted_start(z, reg, start, end)
         for k in range(1, max_iters + 1):
             f_vals = np.asarray(problem.rhs(x[:end], dn[:end] * reg[:end]), dtype=float)
             fr1 = up[0] * f_vals[0]
@@ -349,3 +354,130 @@ class TestFrozenHistory:
         with pytest.raises(DomainError, match="not finite") as excinfo:
             picard_solve(CauchyProblem.linear(p, -5.0, source, 1.0), SolverConfig(n=512))
         assert f"x = {x_bad!r} (subinterval {subinterval}, sweep 1)" in str(excinfo.value)
+
+
+def _phi0_start(z, reg, start, end):
+    # reg[start:end] still holds phi_0 when the start is taken: the start
+    # every subinterval had before the prediction
+    return reg[start:end].copy()
+
+
+def _manufactured_sine_problem():
+    """f = -3 (sin phi - sin phi*) + s(x), solved by phi* = z^(gamma-1)/Gamma(gamma) + z^1.5."""
+    p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+    k = math.gamma(2.5) / math.gamma(2.0)
+
+    def rhs(x, phi):
+        z = z_of_x(p, np.asarray(x, dtype=float))
+        exact = z ** (p.gamma - 1.0) / math.gamma(p.gamma) + z**1.5
+        return -3.0 * (np.sin(phi) - np.sin(exact)) + k * z
+
+    return CauchyProblem(p, rhs, 1.0)
+
+
+def _sqrt_problem():
+    # f = -3 sqrt(phi) is not finite below 0, where a sweep from phi_0 lands
+    return CauchyProblem(make_params(0.5, 1.0, 2.0, 1.0, 2.0), lambda x, phi: -3.0 * np.sqrt(phi), 1.0)
+
+
+_STIFF = {
+    "hk-lambda-5": CauchyProblem.linear(make_params(0.5, 0.5, 2.0, 1.0, 2.0), -5.0, None, 1.0),
+    "hadamard-lambda-8": CauchyProblem.linear(make_params(0.5, 0.5, "hadamard", 1.0, 2.0), -8.0, None, 1.0),
+    "caputo-lambda-15": CauchyProblem.linear(make_params(0.7, 1.0, 1.0, 1.0, 2.0), -15.0, None, 1.0),
+    "manufactured-sine": _manufactured_sine_problem(),
+}
+
+
+class TestPredictedStart:
+    """Later subintervals start from the extrapolated frozen solution."""
+
+    def test_extrapolation_is_exact_on_polynomials_of_its_degree(self):
+        z = np.linspace(0.1, 1.0, 10)
+        for start, poly in ((1, lambda t: 2.0 + 0 * t), (2, lambda t: 1.0 - 3.0 * t),
+                            (3, lambda t: 1.0 - 3.0 * t + 5.0 * t**2),
+                            (7, lambda t: 1.0 - 3.0 * t + 5.0 * t**2)):
+            reg = poly(z)
+            got = _predicted_start(z, reg, start, 10)
+            assert np.allclose(got, poly(z[start:]), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name, phi0_sweeps", [
+        ("hk-lambda-5", 4789), ("hadamard-lambda-8", 5314),
+        ("caputo-lambda-15", 3217), ("manufactured-sine", 1883),
+    ])
+    def test_stiff_sweeps_halve_and_the_certificate_holds(self, name, phi0_sweeps):
+        report = picard_solve(_STIFF[name], SolverConfig(n=512, tol=1e-10))
+        assert len(report.iterations) >= 200
+        assert sum(report.iterations) <= phi0_sweeps / 2
+        assert verify._geometric_certificate(report) <= 1.0
+
+    @pytest.mark.parametrize("name", ["hk-lambda-5", "manufactured-sine"])
+    def test_first_subinterval_is_the_phi0_start_bit_for_bit(self, name, monkeypatch):
+        config = SolverConfig(n=512, tol=1e-10)
+        predicted = picard_solve(_STIFF[name], config)
+        monkeypatch.setattr(solver, "_predicted_start", _phi0_start)
+        plain = picard_solve(_STIFF[name], config)
+        m = int(np.searchsorted(plain.grid.nodes_x, plain.breakpoints[0], side="right"))
+        assert predicted.residual_history[0] == plain.residual_history[0]
+        assert np.array_equal(predicted.solution.regular_values[:m], plain.solution.regular_values[:m])
+        assert sum(predicted.iterations) < sum(plain.iterations)
+        gap = np.max(np.abs(predicted.solution.regular_values - plain.solution.regular_values))
+        assert gap <= 1e-8 * np.max(np.abs(plain.solution.regular_values))
+
+    @pytest.mark.parametrize("n, value", [(512, 0.0257210666), (2048, 0.0257212892)])
+    def test_sqrt_rhs_solves(self, n, value, monkeypatch):
+        report = picard_solve(_sqrt_problem(), SolverConfig(n=n))
+        assert report.converged
+        assert report.solution.values[-1] == pytest.approx(value, abs=1e-9)
+        assert np.all(report.solution.values > 0.0)
+        # from phi_0 the second sweep of a late subinterval leaves the domain
+        monkeypatch.setattr(solver, "_predicted_start", _phi0_start)
+        with pytest.raises(ConvergenceError, match=r"overflowed on subinterval \d+ \(sweep 2\)"):
+            picard_solve(_sqrt_problem(), SolverConfig(n=n))
+
+    def test_prediction_outside_the_rhs_domain_reruns_from_phi0(self, monkeypatch):
+        problem = _sqrt_problem()
+        with np.errstate(invalid="ignore"):  # the sampling box reaches phi < 0
+            A = lipschitz_estimate(problem)
+        problem = CauchyProblem(problem.params, problem.rhs, 1.0, lipschitz=A)
+        config = SolverConfig(n=512)
+        clean = picard_solve(problem, config)
+        calls = []
+
+        def rhs(x, phi):
+            calls.append(len(x))
+            return problem.rhs(x, phi)
+
+        def predict(z, reg, start, end):
+            # subinterval 5's prediction dips below 0, where sqrt is not finite
+            out = _predicted_start(z, reg, start, end)
+            if start == ends[3]:
+                out[0] = -1.0
+            return out
+
+        ends = np.searchsorted(clean.grid.nodes_x, clean.breakpoints, side="right")
+        monkeypatch.setattr(solver, "_predicted_start", predict)
+        report = picard_solve(CauchyProblem(problem.params, rhs, 1.0, lipschitz=problem.lipschitz), config)
+        assert report.converged
+        # every sweep, a freeze per subinterval but the last, and one rerun sweep
+        assert len(calls) == sum(report.iterations) + len(report.iterations) - 1 + 1
+        assert report.iterations[:4] == clean.iterations[:4]
+        assert report.iterations[4] > clean.iterations[4]
+        gap = np.max(np.abs(report.solution.values - clean.solution.values))
+        assert gap <= 1e-7
+
+    def test_a_failed_rerun_raises_the_phi0_error(self, monkeypatch):
+        config = SolverConfig(n=512)
+        monkeypatch.setattr(solver, "_predicted_start", _phi0_start)
+        with pytest.raises(ConvergenceError) as plain:
+            picard_solve(_sqrt_problem(), config)
+        # every prediction leaves the domain, so every subinterval reruns from phi_0
+        monkeypatch.setattr(solver, "_predicted_start",
+                            lambda z, reg, start, end: np.full(end - start, -1.0))
+        with pytest.raises(ConvergenceError) as rerun:
+            picard_solve(_sqrt_problem(), config)
+        assert str(rerun.value) == str(plain.value)
+        assert "subinterval 143 (sweep 2)" in str(rerun.value)
+        assert rerun.value.history == plain.value.history
+        assert rerun.value.report.iterations == plain.value.report.iterations
+        assert np.array_equal(rerun.value.report.solution.regular_values,
+                              plain.value.report.solution.regular_values)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hkfrac.errors import ValidationError
 from hkfrac.sourceexpr import (
     ExprSyntaxError,
     UnknownIdentifierError,
@@ -60,6 +61,20 @@ class TestEvaluation:
     def test_division_by_zero_is_inf_not_an_exception(self):
         assert parse_source("x/z").evaluate(1.0, 0.0) == math.inf
         assert np.all(parse_source("x + 1/0").evaluate(np.ones(3)) == math.inf)
+
+    @pytest.mark.parametrize("text", ["z + 1", "z", "x * exp(-z)", "sin(z)^2"])
+    @pytest.mark.parametrize("x", [2.0, np.ones(2)])
+    def test_missing_z_is_refused_by_name(self, text, x):
+        expr = parse_source(text)
+        assert expr.uses_z
+        with pytest.raises(ValidationError, match=r"\bz\b"):
+            expr.evaluate(x)
+
+    def test_expression_without_z_needs_no_z(self):
+        expr = parse_source("x + exp(-x)")
+        assert not expr.uses_z
+        assert expr.evaluate(2.0) == pytest.approx(2.0 + math.exp(-2.0), rel=1e-15)
+        assert expr.evaluate(2.0, 5.0) == expr.evaluate(2.0)
 
 
 # The compiled expressions must give exactly what the same numpy expression
