@@ -248,20 +248,29 @@ class _CompressedLeft:
 
     The panels are cut into blocks of _BLOCK.  A target row in block k keeps
     the exact product-integration weights of the panels in blocks k-1 and k:
-    ``band[i]``, whose column 0 is node (k-1) _BLOCK (node 0 for k < 2).  The
-    panels of blocks <= k-2 lie at least delta, the shortest length of a
-    block k-1, from every target in block k.  There the kernel is a sum of
-    exponentials, so the far integral of row i is
-    at_row[i] @ M(k), with at_row[i] = c om exp(-s (z_i - E_(k-2))), E_b the
-    node ending block b, and M(k) the moments of the linear interpolant
-    against exp(-s (E_(k-2) - u)) over blocks <= k-2.  ``moments[b]`` maps
-    block b's B + 1 node values to their moments referred to E_b, and
-    M(k) = decay[k-2] M(k-1) + moments[k-2] @ v, with decay[b] =
+    row i - k B of ``band[k]``, whose column 0 is node (k-1) B, B = _BLOCK
+    (node 0 for k < 2).  The panels of blocks <= k-2 lie at least delta, the
+    shortest length of a block k-1, from every target in block k.  There the
+    kernel is a sum of exponentials, so the far integral of row i is
+    a_i @ M(k), with a_i = c om exp(-s (z_i - E_(k-2))) row i - k B of
+    ``at_row[k]``, E_b the node ending block b, and M(k) the moments of the
+    linear interpolant against exp(-s (E_(k-2) - u)) over blocks <= k-2.
+    ``moments[b]`` maps block b's B + 1 node values to their moments referred
+    to E_b, and M(k) = decay[k-2] M(k-1) + moments[k-2] @ v, with decay[b] =
     exp(-s (E_b - E_(b-1))).  Every factor is exp(-s d) with d >= 0.
 
     The far rows of the last call are kept with the far values they came
     from.  The solver's frozen-history calls within one row block share
     those values, so a solve runs the recurrence about once per block.
+
+    ``band`` and ``at_row`` hold one array per row block, not one n-row
+    array each.  As single arrays of 4-5 MB at n = 4096 they landed wherever
+    malloc's heap had a hole left by the last solve's tables, and the peak
+    RSS of the same run of CLI solves read 57.0 or 59.7 MB from one process
+    to the next (glibc 2.36, Python 3.11), with the level set by details as
+    small as the length of the working directory's path.  ``moments`` stays
+    one array: the batched matmul in ``_far_rows`` needs its blocks at one
+    stride.
     """
 
     def __init__(self, u: np.ndarray, terms: KernelTerms):
@@ -269,9 +278,10 @@ class _CompressedLeft:
         B = _BLOCK
         n = u.size - 1
         z = u[1:]
-        self.band = np.zeros((n, 2 * B + 1))
-        for r0 in range(0, n, B):
-            _weight_rows(u, terms, r0, min(r0 + B, n), self.band[r0:r0 + B], col0=max(r0 - B, 0))
+        self.n = n
+        self.band = [_weight_rows(u, terms, r0, min(r0 + B, n),
+                                  np.zeros((min(r0 + B, n) - r0, 2 * B + 1)), col0=max(r0 - B, 0))
+                     for r0 in range(0, n, B)]
         self._memo = (None, None)
         n_far = -(-n // B) - 2  # blocks that are far from some row
         if n_far < 1:
@@ -281,7 +291,7 @@ class _CompressedLeft:
         om *= coef
         self.decay = np.exp(-np.diff(ends[:n_far], prepend=u[0])[:, None] * s)
         self.moments = np.zeros((n_far, B + 1, s.size))
-        self.at_row = np.zeros((n, s.size))
+        self.at_row = [None, None]  # blocks 0 and 1 have no far panels
         for b in range(n_far):
             p0 = b * B
             h = np.diff(u[p0:p0 + B + 1])[:, None]
@@ -290,7 +300,7 @@ class _CompressedLeft:
             self.moments[b, :B] = far * to_end
             self.moments[b, 1:] += near * to_end
             rows = slice(p0 + 2 * B, p0 + 3 * B)
-            self.at_row[rows] = om * np.exp(-s * (z[rows] - ends[b])[:, None])
+            self.at_row.append(om * np.exp(-s * (z[rows] - ends[b])[:, None]))
 
     def rows(self, r0: int, r1: int, c0: int, residual: np.ndarray) -> np.ndarray:
         """Rows [r0, r1) of the operator on ``residual`` at nodes c0, c0 + 1, ...."""
@@ -300,7 +310,7 @@ class _CompressedLeft:
         off = (k0 - 1) * B if k0 > 1 else 0
         if k0 == k1 and c1 <= off + 2 * B + 1 and (c0 > off or k0 < 2):
             # one row block and no far node: one slice of the band
-            return self.band[r0:r1, c0 - off:c1 - off] @ residual
+            return self.band[k0][r0 - k0 * B:r1 - k0 * B, c0 - off:c1 - off] @ residual
         out = np.empty(r1 - r0)
         for k in range(k0, k1 + 1):
             # the band of row block k; later nodes are past its rows' reach
@@ -308,7 +318,8 @@ class _CompressedLeft:
             off = (k - 1) * B if k > 1 else 0
             lo = max(c0, off)
             hi = max(lo, min(c1, off + 2 * B + 1))
-            out[a - r0:b - r0] = self.band[a:b, lo - off:hi - off] @ residual[lo - c0:hi - c0]
+            out[a - r0:b - r0] = (self.band[k][a - k * B:b - k * B, lo - off:hi - off]
+                                  @ residual[lo - c0:hi - c0])
         # the far panels of row block k end at node (k - 1) B
         n_far = min(residual.size, (k1 - 1) * B + 1 - c0)
         if k1 < 2 or n_far <= 0:
@@ -332,14 +343,14 @@ class _CompressedLeft:
         windows = np.ndarray((b_hi + 1 - b_lo, 1, B + 1), buffer=v,
                              strides=(B * v.itemsize, 0, v.itemsize))
         block_moments = np.matmul(windows, self.moments[b_lo:b_hi + 1])[:, 0]
-        out = np.zeros(min((k1 + 1) * B, self.band.shape[0]) - k0 * B)
+        out = np.zeros(min((k1 + 1) * B, self.n) - k0 * B)
         M = np.zeros(block_moments.shape[1])
         for k in range(b_lo + 2, k1 + 1):
             M = self.decay[k - 2] * M
             if k - 2 <= b_hi:
                 M += block_moments[k - 2 - b_lo]
             if k >= k0:
-                out[(k - k0) * B:(k - k0 + 1) * B] = self.at_row[k * B:(k + 1) * B] @ M
+                out[(k - k0) * B:(k - k0 + 1) * B] = self.at_row[k] @ M
         return out
 
 
