@@ -312,6 +312,20 @@ class TestCompressedLeftKernel:
         close(after, W[r0:r1, :r0 + 1] @ w[:r0 + 1])
         assert not np.array_equal(before, after)
 
+    def test_band_and_far_row_tables_are_one_array_per_row_block(self):
+        # n-row arrays of several MB landed in whatever heap hole the last
+        # solve left, and moved peak RSS from one process to the next
+        from hkfrac.operators import _left_rows, _plain_kernel
+
+        B, n = _BLOCK, 3 * _BLOCK + 5
+        g = make_graded_grid(_families()["hk"], n)
+        _left_rows(g, _plain_kernel(0.5), 0, n, 0, np.ones(n + 1))
+        [table] = g._cache.values()
+        row_counts = [B, B, B, 5]
+        assert [block.shape[0] for block in table.band] == row_counts
+        assert table.at_row[:2] == [None, None]
+        assert [block.shape[0] for block in table.at_row[2:]] == row_counts[2:]
+
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
     def test_exact_on_linear_functions(self, family, n):
