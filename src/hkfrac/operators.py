@@ -28,12 +28,11 @@ kernel c w^(e-1) with 0 < e < 1 keeps, for each target row, the exact
 weights of the panels in its own and the previous block of _BLOCK panels,
 and the panels further back are integrated against a sum of exponentials
 whose moments carry from block to block (``_CompressedLeft``, cached on the
-grid per side and kernel).  That costs O(n N_exp) time and memory instead
-of O(n^2); N_exp is 84-224 at order 0.5 for n = 512-65536, more on the
-steeper grids of small orders (210 at 0.3 and 532 at 0.1, n = 4096).
-Kernels of several terms (the closed-form oracle's Mittag-Leffler
-expansion) or with e >= 1 build the weight rows asked for in blocks of
-_ROW_BLOCK, apply each block as soon as it is built and keep none.
+grid per side and kernel).  Each row block keeps the N_k exponentials its
+distance needs, so it costs O(n N_k) time and memory instead of O(n^2): the
+median N_k is 75.5 at order 0.5 and 141 at 0.1 for n = 4096, of 140 and 532.
+Kernels of several terms (the oracle's Mittag-Leffler expansion) or with
+e >= 1 build the rows asked for in blocks of _ROW_BLOCK and keep none.
 
 Every left-sided integral runs through one row-range apply, ``_left_rows``
 (core plus weights on target rows [r0, r1), history and active columns
@@ -169,6 +168,8 @@ _BLOCK = 64
 # far field; each of its Gauss rules has one node per decade of it.
 _EXP_SUM_TOL = 1e-14
 _EXP_SUM_NODES = math.ceil(-math.log10(_EXP_SUM_TOL))
+# Nodes with s delta above it have exp(-s w) < _EXP_SUM_TOL/20 at every w >= delta.
+_EXP_CUT = 3.0 - math.log(_EXP_SUM_TOL)
 # Taylor coefficients of int_0^1 exp(-x r) r dr = sum_m (-x)^m / (m! (m + 2)).
 _FAR_SERIES = np.array([1.0 / (math.factorial(m) * (m + 2)) for m in range(18)])
 
@@ -195,8 +196,8 @@ def _gauss_jacobi(e: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _exp_sum(e: float, delta: float, z_top: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes s and weights om with w^(e-1) ~ sum_l om_l exp(-s_l w) on [delta, z_top], 0 < e < 1.
+def _exp_sum(e: float, delta: float, z_top: float, coef: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes s, weights om: coef w^(e-1) ~ sum_l om_l exp(-s_l w) on [delta, z_top].
 
     The quadrature of w^(e-1) = 1/Gamma(1-e) int_0^inf s^(-e) exp(-s w) ds of
     Jiang, Zhang, Zhang & Zhang (CiCP 21 (2017) 650): Gauss-Jacobi with the
@@ -210,14 +211,14 @@ def _exp_sum(e: float, delta: float, z_top: float) -> tuple[np.ndarray, np.ndarr
     x, w = _gauss_jacobi(e)
     s_jac = 0.5 * (1.0 + x) / z_top
     om_jac = w * (2.0 * z_top) ** (e - 1.0)
-    lo, hi = -math.log(z_top), math.log((3.0 - math.log(_EXP_SUM_TOL)) / delta)
+    lo, hi = -math.log(z_top), math.log(_EXP_CUT / delta)
     edges = np.linspace(lo, hi, math.ceil((hi - lo) / 2.0) + 1)
     nodes, weights = _gauss_jacobi(0.0)
     half = 0.5 * np.diff(edges)[:, None]
     y = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
     s = np.concatenate((s_jac, np.exp(y).ravel()))
     om = np.concatenate((om_jac, (half * weights * np.exp((1.0 - e) * y)).ravel()))
-    return s, om / math.gamma(1.0 - e)
+    return s, om / math.gamma(1.0 - e) * coef
 
 
 def _hat_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,66 +245,65 @@ def _hat_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _CompressedLeft:
-    """The left kernel c w^(e-1), 0 < e < 1, as exact near weights plus a compressed far field.
+    """A kernel as exact near weights plus a far field of exponentials sized per row block.
 
-    The panels are cut into blocks of _BLOCK.  A target row in block k keeps
-    the exact product-integration weights of the panels in blocks k-1 and k:
-    row i - k B of ``band[k]``, whose column 0 is node (k-1) B, B = _BLOCK
-    (node 0 for k < 2).  The panels of blocks <= k-2 lie at least delta, the
-    shortest length of a block k-1, from every target in block k.  There the
-    kernel is a sum of exponentials, so the far integral of row i is
-    a_i @ M(k), with a_i = c om exp(-s (z_i - E_(k-2))) row i - k B of
-    ``at_row[k]``, E_b the node ending block b, and M(k) the moments of the
-    linear interpolant against exp(-s (E_(k-2) - u)) over blocks <= k-2.
-    ``moments[b]`` maps block b's B + 1 node values to their moments referred
-    to E_b, and M(k) = decay[k-2] M(k-1) + moments[k-2] @ v, with decay[b] =
-    exp(-s (E_b - E_(b-1))).  Every factor is exp(-s d) with d >= 0.
-
-    The far rows of the last call are kept with the far values they came
-    from.  The solver's frozen-history calls within one row block share
-    those values, so a solve runs the recurrence about once per block.
-
-    ``band`` and ``at_row`` hold one array per row block, not one n-row
-    array each.  As single arrays of 4-5 MB at n = 4096 they landed wherever
-    malloc's heap had a hole left by the last solve's tables, and the peak
-    RSS of the same run of CLI solves read 57.0 or 59.7 MB from one process
-    to the next (glibc 2.36, Python 3.11), with the level set by details as
-    small as the length of the working directory's path.  ``moments`` stays
-    one array: the batched matmul in ``_far_rows`` needs its blocks at one
-    stride.
+    ``terms`` is the near kernel; ``exp_sum(delta)`` gives nodes s, ascending,
+    and weights om with kernel(w) ~ sum_l om_l exp(-s_l w) for w >= delta.
+    With B = _BLOCK panels per block, a target row i in block k keeps the
+    exact product-integration weights of blocks k-1 and k: row i - k B of
+    ``band[k]``, whose column 0 is node (k-1) B (node 0 for k < 2).  Blocks
+    <= k-2 lie at least delta_k, the length of block k-1, from the row, so it
+    keeps the N_k nodes with s delta_k <= _EXP_CUT (sized per cluster as in
+    McLean, SISC 34 (2012) A3039).  Its far integral is a_i @ M(k)[:N_k], with
+    a_i = om exp(-s (z_i - E_(k-2))) row i - k B of ``at_row[k]``, E_b the
+    node ending block b, and M(k) the moments of the linear interpolant
+    against exp(-s (E_(k-2) - u)) over blocks <= k-2: M(k) = decay[k-2]
+    M(k-1) + moments[k-2] @ v, where ``moments[b]`` maps block b's B + 1 node
+    values to their moments referred to E_b and decay[b] = exp(-s (E_b -
+    E_(b-1))).  Every factor is exp(-s d), d >= 0.  M(k), ``moments[k-2]``
+    and ``decay[k-2]`` have the P_k = max_(k' >= k) N_k' columns that later
+    rows read: N_k on the left nodes, graded toward a, and all on the
+    reflected right ones.  ``rows`` keeps no state; values that freeze from
+    node 0 on march M(k) forward in a ``_History``.  Tables are one array per
+    block: n-row tables of 4-5 MB at n = 4096 landed in whatever heap hole
+    the last solve left, and moved peak RSS by 2.7 MB.
     """
 
-    def __init__(self, u: np.ndarray, terms: KernelTerms):
-        [(coef, e)] = terms
+    def __init__(self, u: np.ndarray, terms: KernelTerms, exp_sum):
         B = _BLOCK
         n = u.size - 1
-        z = u[1:]
-        self.n = n
         self.band = [_weight_rows(u, terms, r0, min(r0 + B, n),
                                   np.zeros((min(r0 + B, n) - r0, 2 * B + 1)), col0=max(r0 - B, 0))
                      for r0 in range(0, n, B)]
-        self._memo = (None, None)
+        self.at_row, self.decay, self.moments, self.width = [None, None], [], [], 0
         n_far = -(-n // B) - 2  # blocks that are far from some row
         if n_far < 1:
             return
         ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
-        s, om = _exp_sum(e, float(np.min(np.diff(ends))), u[-1] - u[0])
-        om *= coef
-        self.decay = np.exp(-np.diff(ends[:n_far], prepend=u[0])[:, None] * s)
-        self.moments = np.zeros((n_far, B + 1, s.size))
-        self.at_row = [None, None]  # blocks 0 and 1 have no far panels
-        for b in range(n_far):
+        lengths = np.diff(ends)  # delta_k of row blocks k = 2 .. n_far + 1
+        s, om = exp_sum(float(np.min(lengths)))
+        counts = np.searchsorted(s, _EXP_CUT / lengths, side="right")  # N_k
+        carried = np.maximum.accumulate(counts[::-1])[::-1]  # P_k
+        self.width = carried[0]
+        steps = np.diff(ends[:n_far], prepend=u[0])
+        for b, (N, P) in enumerate(zip(counts, carried)):
             p0 = b * B
             h = np.diff(u[p0:p0 + B + 1])[:, None]
-            to_end = h * np.exp(-s * (ends[b] - u[p0 + 1:p0 + B + 1])[:, None])
-            far, near = _hat_moments(s * h)
-            self.moments[b, :B] = far * to_end
-            self.moments[b, 1:] += near * to_end
-            rows = slice(p0 + 2 * B, p0 + 3 * B)
-            self.at_row.append(om * np.exp(-s * (z[rows] - ends[b])[:, None]))
+            to_end = h * np.exp(-s[:P] * (ends[b] - u[p0 + 1:p0 + B + 1])[:, None])
+            far, near = _hat_moments(s[:P] * h)
+            self.moments.append(np.zeros((B + 1, P)))
+            self.moments[b][:B] = far * to_end
+            self.moments[b][1:] += near * to_end
+            self.decay.append(np.exp(-steps[b] * s[:P]))
+            targets = u[p0 + 2 * B + 1:p0 + 3 * B + 1, None]  # the rows of block b + 2
+            self.at_row.append(om[:N] * np.exp(-s[:N] * (targets - ends[b])))
 
-    def rows(self, r0: int, r1: int, c0: int, residual: np.ndarray) -> np.ndarray:
-        """Rows [r0, r1) of the operator on ``residual`` at nodes c0, c0 + 1, ...."""
+    def rows(self, r0: int, r1: int, c0: int, residual: np.ndarray,
+             history: _History | None = None) -> np.ndarray:
+        """Rows [r0, r1) of the operator on ``residual`` at nodes c0, c0 + 1, ....
+
+        Far rows start from M(k) of a ``history`` of these values (c0 = 0, r0 // _BLOCK >= k).
+        """
         B = _BLOCK
         k0, k1 = r0 // B, (r1 - 1) // B
         c1 = c0 + residual.size
@@ -321,56 +321,75 @@ class _CompressedLeft:
             out[a - r0:b - r0] = (self.band[k][a - k * B:b - k * B, lo - off:hi - off]
                                   @ residual[lo - c0:hi - c0])
         # the far panels of row block k end at node (k - 1) B
-        n_far = min(residual.size, (k1 - 1) * B + 1 - c0)
-        if k1 < 2 or n_far <= 0:
+        if k1 < 2 or c0 > (k1 - 1) * B:
             return out
-        far = residual[:n_far]
-        key = (k0, k1, c0, far.tobytes())
-        memo_key, far_rows = self._memo
-        if key != memo_key:
-            far_rows = self._far_rows(k0, k1, c0, far)
-            self._memo = (key, far_rows)
-        out += far_rows[r0 - k0 * B:r1 - k0 * B]
+        k, M = (history.k, history.M) if history else (max(-(-c0 // B), 1), np.zeros(self.width))
+        if k < k1:  # blocks to fold: the values at nodes 0 .. (k1 - 1) B
+            v = np.zeros((k1 - 1) * B + 1)
+            v[c0:c0 + residual.size] = residual[:v.size - c0]
+        for k in range(k, k1 + 1):
+            if k >= max(k0, 2):
+                a, b = max(r0, k * B), min(r1, (k + 1) * B)
+                far = history.far if history and k == history.k else self._far(k, M)
+                out[a - r0:b - r0] += far[a - k * B:b - k * B]
+            if k < k1:
+                M = self._fold(M, k - 1, v)
         return out
 
-    def _far_rows(self, k0: int, k1: int, c0: int, far: np.ndarray) -> np.ndarray:
-        """Far integrals of the rows of blocks k0..k1, from ``far`` at nodes c0, c0 + 1, ...."""
-        B = _BLOCK
-        # the far blocks whose B + 1 nodes meet those of ``far``
-        b_lo, b_hi = max(-(-c0 // B) - 1, 0), min((c0 + far.size - 1) // B, k1 - 2)
-        v = np.zeros((b_hi + 1 - b_lo) * B + 1)
-        v[c0 - b_lo * B:c0 - b_lo * B + far.size] = far
-        windows = np.ndarray((b_hi + 1 - b_lo, 1, B + 1), buffer=v,
-                             strides=(B * v.itemsize, 0, v.itemsize))
-        block_moments = np.matmul(windows, self.moments[b_lo:b_hi + 1])[:, 0]
-        out = np.zeros(min((k1 + 1) * B, self.n) - k0 * B)
-        M = np.zeros(block_moments.shape[1])
-        for k in range(b_lo + 2, k1 + 1):
-            M = self.decay[k - 2] * M
-            if k - 2 <= b_hi:
-                M += block_moments[k - 2 - b_lo]
-            if k >= k0:
-                out[(k - k0) * B:(k - k0 + 1) * B] = self.at_row[k] @ M
-        return out
+    def _far(self, k: int, M: np.ndarray) -> np.ndarray:
+        """The far integrals of row block k, k >= 2, from M = M(k)."""
+        return self.at_row[k] @ M[:self.at_row[k].shape[1]]
+
+    def _fold(self, M: np.ndarray, b: int, v: np.ndarray) -> np.ndarray:
+        """M(b + 2) from M = M(b + 1) and the values v at nodes 0, 1, ...."""
+        decay = self.decay[b]
+        return decay * M[:decay.size] + v[b * _BLOCK:(b + 1) * _BLOCK + 1] @ self.moments[b]
+
+
+class _History:
+    """M(k) and row block k's far rows of a grid's left tables, over values frozen from node 0 on.
+
+    ``advance(v, start)`` folds each block in once, when every row from
+    ``start`` on reads it, up to k = start // _BLOCK (the marching history of
+    Jiang, Zhang, Zhang & Zhang, CiCP 21 (2017) 650).
+    """
+
+    def __init__(self, grid: Grid, terms: KernelTerms):
+        self.table = _compressed(grid, terms, "left")
+        self.k, self.M, self.far = 1, np.zeros(self.table.width), None
+
+    def advance(self, v: np.ndarray, start: int) -> None:
+        k = start // _BLOCK
+        if k > self.k:
+            for b in range(self.k - 1, k - 1):
+                self.M = self.table._fold(self.M, b, v)
+            self.k, self.far = k, self.table._far(k, self.M)
+
+
+def _compressed(grid: Grid, terms: KernelTerms, side: str) -> _CompressedLeft | None:
+    """The grid's tables of one side's kernel, built on first use; None unless it is c w^(e-1), 0 < e < 1."""
+    table = grid._cache.get((side, terms))
+    if table is None and len(terms) == 1 and 0.0 < terms[0][1] < 1.0:
+        u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
+        [(coef, e)] = terms
+        table = grid._cache[(side, terms)] = _CompressedLeft(
+            u, terms, lambda delta: _exp_sum(e, delta, u[-1] - u[0], coef))
+    return table
 
 
 def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int, c0: int,
-                 residual: np.ndarray) -> np.ndarray:
+                 residual: np.ndarray, history: _History | None = None) -> np.ndarray:
     """Rows [r0, r1) of one side's kernel operator on ``residual`` at nodes c0, c0 + 1, ....
 
     The nodes are ``_left_nodes`` on the left and the reflected
-    ``_right_nodes`` on the right.  One term c w^(e-1) with 0 < e < 1 goes
-    through the grid's ``_CompressedLeft`` tables, built on first use.  Other
-    kernels (several terms, or e >= 1) build the rows in blocks of
+    ``_right_nodes`` on the right.  A kernel with ``_compressed`` tables goes
+    through them (and the ``history``); others build the rows in blocks of
     _ROW_BLOCK, each over the nodes its rows reach, and keep nothing.
     """
-    compressed = grid._cache.get((side, terms))
-    if compressed is not None:
-        return compressed.rows(r0, r1, c0, residual)
+    table = grid._cache.get((side, terms)) or _compressed(grid, terms, side)
+    if table is not None:
+        return table.rows(r0, r1, c0, residual, history)
     u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
-    if len(terms) == 1 and 0.0 < terms[0][1] < 1.0:
-        compressed = grid._cache[(side, terms)] = _CompressedLeft(u, terms)
-        return compressed.rows(r0, r1, c0, residual)
     out = np.zeros(r1 - r0)
     for a in range(r0, r1, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, r1)
@@ -400,14 +419,14 @@ def _core_convolution(terms: KernelTerms, sigma: float, z: np.ndarray) -> np.nda
 
 
 def _left_rows(grid: Grid, terms: KernelTerms, r0: int, r1: int, c0: int, residual: np.ndarray,
-               core: float = 0.0, sigma: float = 0.0) -> np.ndarray:
+               core: float = 0.0, sigma: float = 0.0, history: _History | None = None) -> np.ndarray:
     """Rows [r0, r1) of the left kernel operator on core * z^sigma + residual.
 
     ``residual`` holds the integrand less its core at the integration nodes
     c0, c0 + 1, ... of [0, z_1, ..., z_n], the rest counting as zero, so
     history and active columns can be applied apart (see ``_kernel_rows``).
     """
-    out = _kernel_rows(grid, terms, "left", r0, r1, c0, residual)
+    out = _kernel_rows(grid, terms, "left", r0, r1, c0, residual, history)
     if core:
         out += core * _core_convolution(terms, sigma, grid.nodes_z[r0:r1])
     return out

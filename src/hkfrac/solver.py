@@ -21,7 +21,8 @@ target theta = 0.5, iterates each to tolerance in the weighted norm, freezes
 it, and folds the frozen history integral into the next subinterval's fixed
 part.  That integral is computed once per subinterval, from f at the
 converged iterates, so a sweep evaluates f and applies the weights on the
-current subinterval's nodes only.
+current subinterval's nodes only; its far field comes from moments that a
+cursor folds in once per block as the blocks freeze.
 
 The map is a contraction on each subinterval, so the iteration converges
 from any start.  The first subinterval starts from the paper's phi_0; each
@@ -50,7 +51,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
 from .frame import Grid, GridFn, HKParams, make_graded_grid, x_of_z, z_of_x
-from .operators import _left_rows, _plain_kernel
+from .operators import _History, _left_rows, _plain_kernel
 from .specfun import gamma_ratio, log_gamma
 
 __all__ = [
@@ -181,7 +182,9 @@ def lipschitz_estimate(problem: CauchyProblem) -> float:
     """Sampled Lipschitz constant of f(x, .), inflated by a 1.5 safety factor.
 
     For right-hand sides with a known linear coefficient the exact constant
-    is returned instead.
+    is returned instead.  A slope is skipped where f is not finite at either
+    of its two levels, so the estimate is the largest finite slope; numpy's
+    warnings for those samples are silenced.
     """
     if problem.linear_coeff is not None:
         return float(problem.linear_coeff)
@@ -199,10 +202,14 @@ def lipschitz_estimate(problem: CauchyProblem) -> float:
     box = max(1.0, 2.0 * phi0_scale)
     levels = np.linspace(-box, box, n_phi)
     worst = 0.0
-    for lo, hi in zip(levels[:-1], levels[1:]):
-        f_lo = np.asarray(problem.rhs(xs, np.full(n_x, lo)), dtype=float)
-        f_hi = np.asarray(problem.rhs(xs, np.full(n_x, hi)), dtype=float)
-        worst = max(worst, float(np.max(np.abs(f_hi - f_lo))) / (hi - lo))
+    with np.errstate(all="ignore"):
+        for lo, hi in zip(levels[:-1], levels[1:]):
+            f_lo = np.asarray(problem.rhs(xs, np.full(n_x, lo)), dtype=float)
+            f_hi = np.asarray(problem.rhs(xs, np.full(n_x, hi)), dtype=float)
+            rise = np.abs(f_hi - f_lo)
+            rise = rise[np.isfinite(rise)]
+            if rise.size:
+                worst = max(worst, float(rise.max()) / (hi - lo))
     return 1.5 * worst
 
 
@@ -304,6 +311,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         raise
 
     terms = _plain_kernel(alpha)
+    cursor = _History(grid, terms)  # the far moments of the frozen columns of v
     sigma = g - 1.0
     z_pow_up = z ** (1.0 - g)   # maps values to the weighted (regular) scale
     z_pow_dn = z ** (g - 1.0)
@@ -348,7 +356,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         # so their integral is computed once.  On the first, fr1 comes from
         # the active node 0 and the core is integrated in every sweep.
         frozen = 0.0 if s == 0 else _left_rows(
-            grid, terms, start, end, 0, v[:start + 1], fr1, sigma)
+            grid, terms, start, end, 0, v[:start + 1], fr1, sigma, cursor)
         # the first subinterval starts from phi_0, a later one from the
         # extrapolated frozen solution
         predicted = s > 0
@@ -403,6 +411,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]
             v[start + 1:end + 1] = f_vals - fr1 * dn
+            cursor.advance(v, end)
         start = end
 
     return partial_report(True)

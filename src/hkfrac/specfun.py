@@ -121,13 +121,16 @@ def log_gamma(x):
     """ln Gamma(x) for x > 0; a float gives a float, an ndarray an ndarray.
 
     Accuracy is ~2e-15 relative to max(1, |ln Gamma(x)|) for
-    x in [1e-3, 170]; nonpositive (or NaN) input raises :class:`DomainError`.
+    x in [1e-3, 170], and ln Gamma(1) = ln Gamma(2) = 0 exactly, so that
+    1/Gamma(1) = 1 in E_(alpha,1)(0) and in every Caputo-type phi_0.
+    Nonpositive (or NaN) input raises :class:`DomainError`.
     """
     xa = np.asarray(x, dtype=float)
     if not np.all(xa > 0.0):
         raise DomainError("log_gamma requires x > 0")
     # always a 1-d call, so a float takes exactly the array arithmetic
     out = _lanczos_log_gamma(xa.reshape(-1)).reshape(xa.shape)
+    out = np.where((xa == 1.0) | (xa == 2.0), 0.0, out)
     return out if isinstance(x, np.ndarray) else float(out)
 
 

@@ -49,14 +49,15 @@ def singular_panel_integral(target, p, q, fn, e, points=80):
     return 0.5 * (s_hi - s_lo) * np.sum(ws * fn(target - s ** (1.0 / e))) / e
 
 
-def cold_apply_within(op, order, peak_bytes):
+def cold_apply_within(op, order, peak_bytes, alpha=0.5):
     """op(f, order) on a fresh n = 4096 grid, whose dense weight matrix alone is 134 MB.
 
-    f = z - z_1 has no core at the first node, so the values are the
-    weights times the node values.  Asserts the tracemalloc peak of the
-    call is below ``peak_bytes``; returns the grid, f and the values.
+    The grid has the default grading 2/alpha.  f = z - z_1 has no core at
+    the first node, so the values are the weights times the node values.
+    Asserts the tracemalloc peak of the call is below ``peak_bytes``;
+    returns the grid, f and the values.
     """
-    g = make_graded_grid(make_params(0.5, 0.5, 2.0, 1.0, 2.0), 4096)
+    g = make_graded_grid(make_params(alpha, 0.5, 2.0, 1.0, 2.0), 4096)
     f = GridFn(g, 0.0, g.nodes_z - g.nodes_z[0])
     tracemalloc.start()
     try:
@@ -312,6 +313,43 @@ class TestCompressedLeftKernel:
         close(after, W[r0:r1, :r0 + 1] @ w[:r0 + 1])
         assert not np.array_equal(before, after)
 
+    @pytest.mark.parametrize("order", [0.1, 0.3, 0.5, 0.7, 0.9])
+    @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard", "katugampola"])
+    def test_both_sides_match_the_dense_oracle_at_every_order(self, family, order):
+        # grading 2/order, the grid a solve of that order builds: the steeper
+        # it is, the more the per-block exponential counts differ
+        from hkfrac.operators import _kernel_rows, _plain_kernel, _weight_matrix
+
+        n = 1000
+        g = make_graded_grid(_families()[family], n, 2.0 / order)
+        terms = _plain_kernel(order)
+        v = np.cos(3.0 * g.nodes_z) + np.sin(40.0 * g.nodes_z)
+        left = np.concatenate(([0.0], v))
+        for got, want in (
+            (_kernel_rows(g, terms, "left", 0, n, 0, left), _weight_matrix(g, terms, True) @ left),
+            (gfi_right(GridFn(g, 0.0, v), order).values, _weight_matrix(g, terms, False) @ v),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_each_row_block_keeps_the_exponentials_its_distance_needs(self):
+        from hkfrac.operators import _EXP_CUT, _compressed, _exp_sum, _left_nodes, _plain_kernel, _right_nodes
+
+        B, e = _BLOCK, 0.1
+        g = make_graded_grid(make_params(e, 0.0, 2.0, 1.0, 2.0), 2048)
+        for side, u in (("left", _left_nodes(g)), ("right", _right_nodes(g))):
+            table = _compressed(g, _plain_kernel(e), side)
+            lengths = np.diff(u[B::B][:len(table.moments) + 1])  # of blocks 1, 2, ...
+            s, _ = _exp_sum(e, float(lengths.min()), u[-1] - u[0])
+            counts = [block.shape[1] for block in table.at_row[2:]]  # N_k of row blocks 2, 3, ...
+            assert counts == np.searchsorted(s, _EXP_CUT / lengths, side="right").tolist()
+            carried = [max(counts[b:]) for b in range(len(counts))]
+            assert [m.shape for m in table.moments] == [(B + 1, P) for P in carried]
+            assert [d.size for d in table.decay] == carried
+            if side == "left":  # blocks grow away from a
+                assert counts == sorted(counts, reverse=True) and 3 * counts[-1] < counts[0]
+            else:
+                assert carried == [s.size] * len(counts)
+
     def test_band_and_far_row_tables_are_one_array_per_row_block(self):
         # n-row arrays of several MB landed in whatever heap hole the last
         # solve left, and moved peak RSS from one process to the next
@@ -346,6 +384,17 @@ class TestCompressedLeftKernel:
             g, f, got = cold_apply_within(gfi_left, order, 24 * 2**20)
             W = _weight_matrix(g, _plain_kernel(order), left_sided=True)
             np.testing.assert_allclose(got, W @ np.concatenate(([0.0], f.values)), rtol=1e-13, atol=0.0)
+
+    def test_cold_apply_at_order_0_1_sizes_its_tables_per_row_block(self):
+        # grading 20: one sum sized for every row took 39 MB here
+        from hkfrac.operators import _left_nodes, _plain_kernel, _weight_rows
+
+        g, f, got = cold_apply_within(gfi_left, 0.1, 20 * 2**20, alpha=0.1)
+        n = g.n
+        for r0, r1 in ((2 * _BLOCK, 2 * _BLOCK + 5), (n // 2, n // 2 + 5), (n - 5, n)):
+            rows = _weight_rows(_left_nodes(g), _plain_kernel(0.1), r0, r1, np.zeros((r1 - r0, n + 1)))
+            want = rows @ np.concatenate(([0.0], f.values))
+            assert np.max(np.abs(got[r0:r1] - want)) <= 1e-13 * np.max(np.abs(got))
 
 
 class TestCompressedRightKernel:

@@ -48,6 +48,12 @@ class TestLogGamma:
         scaled = np.abs(got - ref) / np.maximum(1.0, np.abs(ref))
         assert np.max(scaled) <= 1e-13
 
+    def test_exact_zeros_at_one_and_two(self):
+        # Gamma(1) = Gamma(2) = 1: E_(alpha,1)(0) and the Caputo-type phi_0 carry 1/Gamma(1)
+        assert log_gamma(1.0) == log_gamma(2.0) == 0.0
+        assert log_gamma(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+        assert ml2(MLQuery(0.3, 1.0, 0.0)) == 1.0
+
     def test_scalar_matches_vector_path(self):
         xs = np.array([0.123, 0.69119594, 1.0, 7.7, 42.0])
         assert np.allclose([log_gamma(float(x)) for x in xs], log_gamma(xs), rtol=0, atol=0)
