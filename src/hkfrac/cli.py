@@ -5,10 +5,10 @@
                  [--format csv|json]
     hkfrac verify --suite NAME [--json FILE]    run a verification suite
 
-Exit codes: 0 success, 1 usage/config error, 2 domain error (including a
-source that is not finite somewhere on the grid; solve writes no output),
-3 convergence failure or tolerance violation (solve still writes its report
-in that case).
+Exit codes: 0 success, 1 usage/config error or an output file that cannot
+be written, 2 domain error (including a source that is not finite somewhere
+on the grid; solve writes no output), 3 convergence failure or tolerance
+violation (solve still writes its report in that case).
 
 The problem config is a flat key = value text file; ``#`` starts a comment.
 Keys: alpha, beta, rho (number or "hadamard"), a, b, c, lambda, source
@@ -184,6 +184,11 @@ def _write_json(path: Path, config: dict, report) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _write_failed(path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 # ------------------------------------------------------------------ commands
 
 def _cmd_ml(args) -> int:
@@ -222,10 +227,13 @@ def _cmd_solve(args) -> int:
             return EXIT_CONVERGENCE
         code = EXIT_CONVERGENCE
 
-    if args.format == "csv":
-        _write_csv(out, report)
-    else:
-        _write_json(out, config, report)
+    try:
+        if args.format == "csv":
+            _write_csv(out, report)
+        else:
+            _write_json(out, config, report)
+    except OSError as exc:
+        return _write_failed(out, exc)
     return code
 
 
@@ -243,10 +251,13 @@ def _cmd_verify(args) -> int:
     print(f"{'all passed' if ok else 'FAILED'}: "
           f"{sum(r['passed'] for r in records)}/{len(records)} cases")
     if args.json:
-        Path(args.json).write_text(
-            json.dumps({"suite": args.suite, "passed": ok, "records": records},
-                       indent=2, sort_keys=True) + "\n"
-        )
+        try:
+            Path(args.json).write_text(
+                json.dumps({"suite": args.suite, "passed": ok, "records": records},
+                           indent=2, sort_keys=True) + "\n"
+            )
+        except OSError as exc:
+            return _write_failed(args.json, exc)
     return EXIT_OK if ok else EXIT_CONVERGENCE
 
 

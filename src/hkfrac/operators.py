@@ -34,10 +34,11 @@ median N_k is 75.5 at order 0.5 and 141 at 0.1 for n = 4096, of 140 and 532.
 Kernels of several terms (the oracle's Mittag-Leffler expansion) or with
 e >= 1 build the rows asked for in blocks of _ROW_BLOCK and keep none.
 
-Every left-sided integral runs through one row-range apply, ``_left_rows``
-(core plus weights on target rows [r0, r1), history and active columns
-apart): the operators ask for all rows, the closed-form oracle for its last
-row alone, the solver for one subinterval's rows.
+Both sides apply their weights through one row-range apply,
+``_kernel_rows`` (target rows [r0, r1)): the operators ask for all rows and
+the closed-form oracle for its last row alone.  The Picard solver calls the
+compressed tables itself, one subinterval's rows at a time, with history and
+active columns apart.
 
 Pure-power inputs (constant regular part) bypass quadrature entirely via the
 analytic rules, which keeps identities like D^a z^(a-1) = 0 exact rather
@@ -347,16 +348,17 @@ class _CompressedLeft:
 
 
 class _History:
-    """M(k) and row block k's far rows of a grid's left tables, over values frozen from node 0 on.
+    """M(k) and row block k's far rows of a left ``table``, over values frozen from node 0 on.
 
     ``advance(v, start)`` folds each block in once, when every row from
     ``start`` on reads it, up to k = start // _BLOCK (the marching history of
-    Jiang, Zhang, Zhang & Zhang, CiCP 21 (2017) 650).
+    Jiang, Zhang, Zhang & Zhang, CiCP 21 (2017) 650); the solver passes it to
+    ``table.rows`` for the rows past the frozen values.
     """
 
-    def __init__(self, grid: Grid, terms: KernelTerms):
-        self.table = _compressed(grid, terms, "left")
-        self.k, self.M, self.far = 1, np.zeros(self.table.width), None
+    def __init__(self, table: _CompressedLeft):
+        self.table = table
+        self.k, self.M, self.far = 1, np.zeros(table.width), None
 
     def advance(self, v: np.ndarray, start: int) -> None:
         k = start // _BLOCK
@@ -377,26 +379,25 @@ def _compressed(grid: Grid, terms: KernelTerms, side: str) -> _CompressedLeft | 
     return table
 
 
-def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int, c0: int,
-                 residual: np.ndarray, history: _History | None = None) -> np.ndarray:
-    """Rows [r0, r1) of one side's kernel operator on ``residual`` at nodes c0, c0 + 1, ....
+def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int,
+                 values: np.ndarray) -> np.ndarray:
+    """Rows [r0, r1) of one side's kernel operator on ``values`` at nodes 0, 1, ....
 
     The nodes are ``_left_nodes`` on the left and the reflected
     ``_right_nodes`` on the right.  A kernel with ``_compressed`` tables goes
-    through them (and the ``history``); others build the rows in blocks of
-    _ROW_BLOCK, each over the nodes its rows reach, and keep nothing.
+    through them; others build the rows in blocks of _ROW_BLOCK, each over
+    the nodes its rows reach, and keep nothing.
     """
-    table = grid._cache.get((side, terms)) or _compressed(grid, terms, side)
+    table = _compressed(grid, terms, side)
     if table is not None:
-        return table.rows(r0, r1, c0, residual, history)
+        return table.rows(r0, r1, 0, values)
     u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
     out = np.zeros(r1 - r0)
     for a in range(r0, r1, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, r1)
-        c1 = min(c0 + residual.size, b + 1)  # rows below b reach node b at most
-        if c1 > c0:
-            W = _weight_rows(u, terms, a, b, np.zeros((b - a, b + 1)))
-            out[a - r0:b - r0] = W[:, c0:c1] @ residual[:c1 - c0]
+        c1 = min(values.size, b + 1)  # rows below b reach node b at most
+        W = _weight_rows(u, terms, a, b, np.zeros((b - a, b + 1)))
+        out[a - r0:b - r0] = W[:, :c1] @ values[:c1]
     return out
 
 
@@ -418,43 +419,22 @@ def _core_convolution(terms: KernelTerms, sigma: float, z: np.ndarray) -> np.nda
     return out
 
 
-def _left_rows(grid: Grid, terms: KernelTerms, r0: int, r1: int, c0: int, residual: np.ndarray,
-               core: float = 0.0, sigma: float = 0.0, history: _History | None = None) -> np.ndarray:
-    """Rows [r0, r1) of the left kernel operator on core * z^sigma + residual.
-
-    ``residual`` holds the integrand less its core at the integration nodes
-    c0, c0 + 1, ... of [0, z_1, ..., z_n], the rest counting as zero, so
-    history and active columns can be applied apart (see ``_kernel_rows``).
-    """
-    out = _kernel_rows(grid, terms, "left", r0, r1, c0, residual, history)
-    if core:
-        out += core * _core_convolution(terms, sigma, grid.nodes_z[r0:r1])
-    return out
-
-
 def _kernel_apply_left(f: GridFn, terms: KernelTerms, r0: int = 0) -> np.ndarray:
     """Rows [r0, n) of the left-sided kernel operator applied to f.
 
-    The leading power r(0) z^sigma goes in closed form, the rest by product
-    integration.  Through a kernel without compressed tables the last row
-    alone costs n panels per kernel term.
+    The leading power r(0) z^sigma, sigma > -1, goes in closed form, the rest
+    by product integration.  Through a kernel without compressed tables the
+    last row alone costs n panels per kernel term.
     """
-    if f.sigma <= -1.0:
-        raise ValidationError(
-            f"singular exponent must satisfy sigma > -1 for integrability (got {f.sigma})"
-        )
     grid = f.grid
     z = grid.nodes_z
     lead = float(f.regular_values[0])
-    if f.sigma != 0.0:
-        rest = f.values - lead * z**f.sigma
-    else:
-        rest = f.regular_values - lead
-    residual = np.concatenate(([0.0], rest))
+    core = lead * _core_convolution(terms, f.sigma, z[r0:])
+    residual = np.concatenate(([0.0], f.values - lead * z**f.sigma))
     if not np.any(residual):
         # pure power: the core convolution is already exact
-        return lead * _core_convolution(terms, f.sigma, z[r0:])
-    return _left_rows(grid, terms, r0, grid.n, 0, residual, lead, f.sigma)
+        return core
+    return _kernel_rows(grid, terms, "left", r0, grid.n, residual) + core
 
 
 def gfi_left(f: GridFn, order: float) -> GridFn:
@@ -464,13 +444,13 @@ def gfi_left(f: GridFn, order: float) -> GridFn:
     factored representation sigma + order); anything else goes through
     product integration and comes back with the values absorbed (sigma = 0).
     """
-    if not order > 0.0:
-        raise ValidationError(f"integral order must satisfy order > 0 (got {order})")
+    if not 0.0 < order < math.inf:  # NaN fails too
+        raise ValidationError(f"integral order must satisfy 0 < order < inf (got {order})")
+    if f.sigma <= -1.0:
+        raise ValidationError(
+            f"singular exponent must satisfy sigma > -1 for integrability (got {f.sigma})"
+        )
     if f.is_pure_power:
-        if f.sigma <= -1.0:
-            raise ValidationError(
-                f"singular exponent must satisfy sigma > -1 for integrability (got {f.sigma})"
-            )
         coef = gamma_ratio(f.sigma + 1.0, f.sigma + 1.0 + order)
         return GridFn(f.grid, _snap_exponent(f.sigma + order), f.regular_values * coef)
     return GridFn(f.grid, 0.0, _kernel_apply_left(f, _plain_kernel(order)))
@@ -485,11 +465,11 @@ def gfi_right(f: GridFn, order: float) -> GridFn:
     is the left integral at -z_i on the reflected nodes -z_n, ..., -z_1 of
     the values in reverse; the row at b is an empty integral.
     """
-    if not order > 0.0:
-        raise ValidationError(f"integral order must satisfy order > 0 (got {order})")
+    if not 0.0 < order < math.inf:  # NaN fails too
+        raise ValidationError(f"integral order must satisfy 0 < order < inf (got {order})")
     n = f.grid.n
     out = np.zeros(n)
-    out[:-1] = _kernel_rows(f.grid, _plain_kernel(order), "right", 0, n - 1, 0, f.values[::-1])[::-1]
+    out[:-1] = _kernel_rows(f.grid, _plain_kernel(order), "right", 0, n - 1, f.values[::-1])[::-1]
     return GridFn(f.grid, 0.0, out)
 
 
@@ -548,8 +528,8 @@ def power_rule_analytic(xi: float, order: float, params: HKParams, x):
     """Closed form J^order z^(xi-1) = Gamma(xi)/Gamma(order+xi) z^(order+xi-1)."""
     if not xi > 0.0:
         raise ValidationError(f"power rule requires xi > 0 (got {xi})")
-    if not order >= 0.0:  # NaN fails too
-        raise ValidationError(f"power rule requires order >= 0 (got {order})")
+    if not 0.0 <= order < math.inf:  # NaN fails too
+        raise ValidationError(f"power rule order must satisfy 0 <= order < inf (got {order})")
     z = z_of_x(params, x)
     return gamma_ratio(xi, order + xi) * z ** (order + xi - 1.0)
 

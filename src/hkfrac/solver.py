@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
 from .frame import Grid, GridFn, HKParams, make_graded_grid, x_of_z, z_of_x
-from .operators import _History, _left_rows, _plain_kernel
+from .operators import _compressed, _core_convolution, _History, _plain_kernel
 from .specfun import gamma_ratio, log_gamma
 
 __all__ = [
@@ -75,25 +75,21 @@ class CauchyProblem:
     the same shape.  It must be pointwise, each output depending only on the
     same node's x and phi: the solver calls it only on the current
     subinterval's nodes.  When ``lipschitz`` is absent the solver estimates it;
-    ``linear_coeff`` short-circuits the estimate with the exact constant for
-    right-hand sides built by the :meth:`linear` / :meth:`power_weighted`
-    constructors.
+    the :meth:`linear` / :meth:`power_weighted` constructors set the exact
+    constant.
     """
 
     params: HKParams
     rhs: Callable
     c: float
     lipschitz: Optional[float] = None
-    linear_coeff: Optional[float] = None
 
     def __post_init__(self):
         # written so that NaN fails every check
         if not math.isfinite(self.c):
             raise ValidationError(f"c must be finite (got {self.c})")
-        for name in ("lipschitz", "linear_coeff"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value < math.inf:
-                raise ValidationError(f"{name} must satisfy 0 <= {name} < inf (got {value})")
+        if self.lipschitz is not None and not 0.0 <= self.lipschitz < math.inf:
+            raise ValidationError(f"lipschitz must satisfy 0 <= lipschitz < inf (got {self.lipschitz})")
 
     @classmethod
     def linear(cls, params: HKParams, lam: float, source: Optional[Callable], c: float) -> "CauchyProblem":
@@ -104,7 +100,7 @@ class CauchyProblem:
         else:
             def rhs(x, phi):
                 return lam * phi + np.asarray(source(x), dtype=float)
-        return cls(params, rhs, c, linear_coeff=abs(lam))
+        return cls(params, rhs, c, lipschitz=abs(lam))
 
     @classmethod
     def power_weighted(cls, params: HKParams, lam: float, xi: float,
@@ -120,7 +116,7 @@ class CauchyProblem:
         else:
             def rhs(x, phi):
                 return lam * z_of_x(p, np.asarray(x, dtype=float)) ** xi * phi + np.asarray(source(x), dtype=float)
-        return cls(params, rhs, c, linear_coeff=abs(lam) * params.z_top**xi)
+        return cls(params, rhs, c, lipschitz=abs(lam) * params.z_top**xi)
 
 
 @dataclass(frozen=True)
@@ -181,13 +177,12 @@ def contraction_factor(A: float, params: HKParams, x1: float) -> float:
 def lipschitz_estimate(problem: CauchyProblem) -> float:
     """Sampled Lipschitz constant of f(x, .), inflated by a 1.5 safety factor.
 
-    For right-hand sides with a known linear coefficient the exact constant
-    is returned instead.  A slope is skipped where f is not finite at either
-    of its two levels, so the estimate is the largest finite slope; numpy's
-    warnings for those samples are silenced.
+    A constant set on the problem is returned instead.  A slope is skipped
+    where f is not finite at either of its two levels, so the estimate is the
+    largest finite slope; numpy's warnings for those samples are silenced.
     """
-    if problem.linear_coeff is not None:
-        return float(problem.linear_coeff)
+    if problem.lipschitz is not None:
+        return float(problem.lipschitz)
     params = problem.params
     n_phi = 13
     n_x = 16
@@ -292,7 +287,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     g = params.gamma
     alpha = params.alpha
 
-    A = problem.lipschitz if problem.lipschitz is not None else lipschitz_estimate(problem)
+    A = lipschitz_estimate(problem)
 
     phi0_reg = problem.c * math.exp(-log_gamma(g))
     reg = np.full(n, phi0_reg)
@@ -311,11 +306,12 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         raise
 
     terms = _plain_kernel(alpha)
-    cursor = _History(grid, terms)  # the far moments of the frozen columns of v
-    sigma = g - 1.0
+    table = _compressed(grid, terms, "left")
+    cursor = _History(table)  # the far moments of the frozen columns of v
+    core = _core_convolution(terms, g - 1.0, z)  # the integral of z^(gamma-1)
     z_pow_up = z ** (1.0 - g)   # maps values to the weighted (regular) scale
     z_pow_dn = z ** (g - 1.0)
-    # the integrand less its singular core fr1 z^sigma, at [0, z_1, ..., z_n]
+    # the integrand less its singular core fr1 z^(gamma-1), at [0, z_1, ..., z_n]
     v = np.zeros(n + 1)
 
     residual_history: list = []
@@ -354,9 +350,9 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         xs, dn, up = x[start:end], z_pow_dn[start:end], z_pow_up[start:end]
         # Past the first subinterval, fr1 and the frozen columns of v are fixed,
         # so their integral is computed once.  On the first, fr1 comes from
-        # the active node 0 and the core is integrated in every sweep.
-        frozen = 0.0 if s == 0 else _left_rows(
-            grid, terms, start, end, 0, v[:start + 1], fr1, sigma, cursor)
+        # the active node 0 and the core term is added in every sweep.
+        frozen = 0.0 if s == 0 else (
+            table.rows(start, end, 0, v[:start + 1], cursor) + fr1 * core[start:end])
         # the first subinterval starts from phi_0, a later one from the
         # extrapolated frozen solution
         predicted = s > 0
@@ -368,8 +364,9 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             f_vals = rhs_on(xs, dn * reg[start:end], s, k)
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]
-            active = _left_rows(grid, terms, start, end, start + 1, f_vals - fr1 * dn,
-                                fr1 if s == 0 else 0.0, sigma)
+            active = table.rows(start, end, start + 1, f_vals - fr1 * dn)
+            if s == 0:
+                active += fr1 * core[:end]
             new_reg = phi0_reg + up * (frozen + active)
             residual = float(np.abs(new_reg - reg[start:end]).max())
             if not math.isfinite(residual):

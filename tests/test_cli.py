@@ -212,6 +212,14 @@ class TestSolveCommand:
         assert report["residual_history"] == []
         assert report["iterations"] == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unwritable_output_is_an_error_line_not_a_traceback(self, tmp_path, capsys, fmt):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FREE_TERM_CONFIG)
+        out = tmp_path / "no_such_dir" / f"out.{fmt}"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out), "--format", fmt]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
 
 class TestConfigParsing:
     def test_comments_and_blank_lines(self):
@@ -277,6 +285,13 @@ class TestVerifyCommand:
         payload = json.loads(out.read_text())
         assert payload["passed"] is True
         assert all(r["passed"] for r in payload["records"])
+
+    def test_unwritable_json_is_an_error_line_not_a_traceback(self, tmp_path, capsys):
+        out = tmp_path / "no_such_dir" / "v.json"
+        assert cli.main(["verify", "--suite", "kilbas-saigo", "--json", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "all passed" in captured.out
+        assert captured.err == f"error: cannot write {out}: No such file or directory\n"
 
     def test_limits_suite_passes(self):
         assert cli.main(["verify", "--suite", "limits"]) == 0

@@ -204,18 +204,20 @@ class TestBlockedWeightBuild:
                 rows[:r1 - r0] = reflected[::-1, ::-1]
             assert np.array_equal(rows, W[r0:r0 + rows.shape[0]])
 
-    def test_row_range_apply_adds_history_and_active_columns(self):
-        from hkfrac.operators import _core_convolution, _left_rows
+    def test_row_range_apply_adds_the_core_to_the_weights(self):
+        from hkfrac.operators import _core_convolution, _kernel_apply_left, _kernel_rows
 
         g, terms, W = self._fresh_weights("left", "ml")
-        v = np.concatenate(([0.0], np.cos(3.0 * g.nodes_z)))
-        r0, r1, split = 40, 60, 41
-        whole = _left_rows(g, terms, r0, r1, 0, v, 0.3, -0.2)
-        history = _left_rows(g, terms, r0, r1, 0, v[:split], 0.3, -0.2)
-        active = _left_rows(g, terms, r0, r1, split, v[split:r1 + 1])
-        np.testing.assert_allclose(history + active, whole, rtol=1e-14, atol=0.0)
-        want = W[r0:r1] @ v + 0.3 * _core_convolution(terms, -0.2, g.nodes_z[r0:r1])
-        np.testing.assert_allclose(whole, want, rtol=1e-14, atol=0.0)
+        z = g.nodes_z
+        v = np.concatenate(([0.0], np.cos(3.0 * z)))
+        r0, r1 = 40, 60
+        np.testing.assert_allclose(_kernel_rows(g, terms, "left", r0, r1, v), W[r0:r1] @ v,
+                                   rtol=1e-14, atol=0.0)
+        # regular part 0.3 + sin(3 (z - z_1)): the core 0.3 z^(-0.2) plus a residual
+        f = GridFn(g, -0.2, 0.3 + np.sin(3.0 * (z - z[0])))
+        residual = np.concatenate(([0.0], f.values - 0.3 * z**-0.2))
+        want = W[r0:] @ residual + 0.3 * _core_convolution(terms, -0.2, z[r0:])
+        np.testing.assert_allclose(_kernel_apply_left(f, terms, r0), want, rtol=1e-14, atol=0.0)
 
     def test_build_memory_is_the_matrix_plus_one_block(self):
         from hkfrac.operators import _plain_kernel, _weight_matrix
@@ -283,7 +285,7 @@ class TestCompressedLeftKernel:
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
     def test_row_ranges_match_the_dense_oracle(self, family, n):
-        from hkfrac.operators import _left_rows, _plain_kernel, _weight_matrix
+        from hkfrac.operators import _compressed, _plain_kernel, _weight_matrix
 
         B = _BLOCK
         p = _families()[family]
@@ -291,25 +293,26 @@ class TestCompressedLeftKernel:
         terms = _plain_kernel(p.alpha)
         W = _weight_matrix(g, terms, left_sided=True)
         v = np.concatenate(([0.0], np.cos(3.0 * g.nodes_z) + np.sin(40.0 * g.nodes_z)))
+        table = _compressed(g, terms, "left")
 
         def close(got, want):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-        close(_left_rows(g, terms, 0, n, 0, v), W @ v)
+        close(table.rows(0, n, 0, v), W @ v)
         # row ranges and history/active splits that cross block boundaries
         for r0, r1, split in ((0, n, n // 3), (B - 3, 2 * B + 4, B + 7), (2 * B - 1, 3 * B + 2, B - 1),
                               (3 * B, 3 * B + 5, 2 * B), (n - 5, n, n // 2), (n - 5, n, n - 4)):
             want = W[r0:r1] @ v
-            history = _left_rows(g, terms, r0, r1, 0, v[:split])
-            active = _left_rows(g, terms, r0, r1, split, v[split:r1 + 1])
+            history = table.rows(r0, r1, 0, v[:split])
+            active = table.rows(r0, r1, split, v[split:r1 + 1])
             close(history + active, want)
             close(history, W[r0:r1, :split] @ v[:split])
         # a call whose far values changed is not served from the call before
         r0, r1 = n - 3, n
-        before = _left_rows(g, terms, r0, r1, 0, v[:r0 + 1])
+        before = table.rows(r0, r1, 0, v[:r0 + 1])
         w = v.copy()
         w[5] += 1.0
-        after = _left_rows(g, terms, r0, r1, 0, w[:r0 + 1])
+        after = table.rows(r0, r1, 0, w[:r0 + 1])
         close(after, W[r0:r1, :r0 + 1] @ w[:r0 + 1])
         assert not np.array_equal(before, after)
 
@@ -326,7 +329,7 @@ class TestCompressedLeftKernel:
         v = np.cos(3.0 * g.nodes_z) + np.sin(40.0 * g.nodes_z)
         left = np.concatenate(([0.0], v))
         for got, want in (
-            (_kernel_rows(g, terms, "left", 0, n, 0, left), _weight_matrix(g, terms, True) @ left),
+            (_kernel_rows(g, terms, "left", 0, n, left), _weight_matrix(g, terms, True) @ left),
             (gfi_right(GridFn(g, 0.0, v), order).values, _weight_matrix(g, terms, False) @ v),
         ):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -353,11 +356,11 @@ class TestCompressedLeftKernel:
     def test_band_and_far_row_tables_are_one_array_per_row_block(self):
         # n-row arrays of several MB landed in whatever heap hole the last
         # solve left, and moved peak RSS from one process to the next
-        from hkfrac.operators import _left_rows, _plain_kernel
+        from hkfrac.operators import _kernel_rows, _plain_kernel
 
         B, n = _BLOCK, 3 * _BLOCK + 5
         g = make_graded_grid(_families()["hk"], n)
-        _left_rows(g, _plain_kernel(0.5), 0, n, 0, np.ones(n + 1))
+        _kernel_rows(g, _plain_kernel(0.5), "left", 0, n, np.ones(n + 1))
         [table] = g._cache.values()
         row_counts = [B, B, B, 5]
         assert [block.shape[0] for block in table.band] == row_counts
@@ -367,13 +370,13 @@ class TestCompressedLeftKernel:
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
     def test_exact_on_linear_functions(self, family, n):
-        from hkfrac.operators import _left_rows, _plain_kernel
+        from hkfrac.operators import _kernel_rows, _plain_kernel
 
         g = make_graded_grid(_families()[family], n)
         z = g.nodes_z
         [(coef, e)] = terms = _plain_kernel(0.45)
         c0, c1 = 0.7, 1.3
-        got = _left_rows(g, terms, 0, n, 0, c0 + c1 * np.concatenate(([0.0], z)))
+        got = _kernel_rows(g, terms, "left", 0, n, c0 + c1 * np.concatenate(([0.0], z)))
         expected = coef * (c0 * z**e / e + c1 * z ** (e + 1.0) / (e * (e + 1.0)))
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
@@ -476,7 +479,7 @@ class TestCompressedRightKernel:
         f = GridFn(g, 0.0, 1.0 + g.nodes_z**2)
         got = gfi_right(f, order).values
         assert not g._cache  # dense rows are built per apply and kept nowhere
-        _kernel_rows(g, _plain_kernel(0.5), "right", 0, g.n - 1, 0, f.values[::-1])
+        _kernel_rows(g, _plain_kernel(0.5), "right", 0, g.n - 1, f.values[::-1])
         assert [type(table) for table in g._cache.values()] == [_CompressedLeft]
         want = _weight_matrix(g, _plain_kernel(order), left_sided=False) @ f.values
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
@@ -515,6 +518,12 @@ class TestPowerRuleAnalytic:
             power_rule_analytic(0.0, 0.5, p, 1.5)
         with pytest.raises(ValidationError):
             power_rule_analytic(1.0, -0.5, p, 1.5)
+
+    @pytest.mark.parametrize("order", [math.inf, math.nan])
+    def test_non_finite_order_is_refused_by_name(self, order):
+        p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
+        with pytest.raises(ValidationError, match=r"order must satisfy 0 <= order < inf \(got"):
+            power_rule_analytic(1.0, order, p, 1.5)
 
 
 class TestLeftIntegral:
@@ -581,12 +590,26 @@ class TestLeftIntegral:
         with pytest.raises(ValidationError):
             gfi_left(GridFn.constant(g, 1.0, sigma=-1.0), 0.5)
 
+    @pytest.mark.parametrize("order", [math.inf, math.nan])
+    def test_non_finite_order_is_refused_by_name(self, order):
+        # a pure power and a general function: both used to pass the check
+        g = make_graded_grid(make_params(0.5, 0.0, 1.0, 1.0, 2.0), 16)
+        for f in (GridFn.constant(g, 1.0, sigma=-0.3), GridFn.from_z_function(g, np.cos)):
+            with pytest.raises(ValidationError, match=r"order must satisfy 0 < order < inf \(got"):
+                gfi_left(f, order)
+
 
 class TestRightIntegral:
     def test_zero(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
         g = make_graded_grid(p, 32)
         assert np.all(gfi_right(GridFn.constant(g, 0.0), 0.7).values == 0.0)
+
+    @pytest.mark.parametrize("order", [0.0, math.inf, math.nan])
+    def test_order_outside_zero_to_inf_is_refused_by_name(self, order):
+        g = make_graded_grid(make_params(0.5, 0.0, 1.0, 1.0, 2.0), 16)
+        with pytest.raises(ValidationError, match=r"order must satisfy 0 < order < inf \(got"):
+            gfi_right(GridFn.from_z_function(g, np.cos), order)
 
     def test_order_one_gives_distance_to_b(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)

@@ -1,5 +1,6 @@
 """Tests for the contraction-based Picard solver."""
 
+import dataclasses
 import math
 import warnings
 
@@ -48,6 +49,22 @@ class TestLipschitzEstimate:
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
         prob = CauchyProblem.linear(p, -3.7, None, 1.0)
         assert lipschitz_estimate(prob) == 3.7
+
+    def test_a_set_constant_wins_and_every_solve_asks_for_it(self, monkeypatch):
+        p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
+        linear = CauchyProblem.linear(p, -3.7, None, 1.0)
+        assert linear.lipschitz == 3.7
+        prob = dataclasses.replace(linear, lipschitz=2.5)
+        assert lipschitz_estimate(prob) == 2.5
+        calls = []
+
+        def counted(problem):
+            calls.append(problem)
+            return lipschitz_estimate(problem)
+
+        monkeypatch.setattr(solver, "lipschitz_estimate", counted)
+        picard_solve(prob, SolverConfig(n=512))
+        assert calls == [prob]
 
     def test_phi_independent_rhs_gives_zero(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
@@ -223,9 +240,9 @@ class TestPicardSolve:
         (lambda p: SolverConfig(grading=math.inf), "grading"),
         (lambda p: CauchyProblem.linear(p, -1.0, None, math.nan), "c"),
         (lambda p: CauchyProblem.linear(p, -1.0, None, math.inf), "c"),
-        (lambda p: CauchyProblem.linear(p, math.nan, None, 1.0), "linear_coeff"),
         (lambda p: CauchyProblem(p, lambda x, phi: phi, 1.0, lipschitz=math.inf), "lipschitz"),
         (lambda p: CauchyProblem(p, lambda x, phi: phi, 1.0, lipschitz=math.nan), "lipschitz"),
+        (lambda p: CauchyProblem.linear(p, math.nan, None, 1.0), "lipschitz"),
     ])
     def test_bad_settings_are_refused_at_construction(self, build, field):
         p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
@@ -350,6 +367,23 @@ class TestFrozenHistory:
         got = report.solution.regular_values
         assert np.max(np.abs(got - reg)) <= 1e-12 * np.max(np.abs(reg))
 
+    def test_the_singular_core_is_integrated_once_per_solve(self, monkeypatch):
+        from hkfrac import operators
+
+        core = operators._core_convolution
+        calls = []
+
+        def counted(terms, sigma, z):
+            calls.append(z.size)
+            return core(terms, sigma, z)
+
+        monkeypatch.setattr(operators, "_core_convolution", counted)
+        monkeypatch.setattr(solver, "_core_convolution", counted, raising=False)
+        problem = CauchyProblem.linear(make_params(0.5, 0.5, 2.0, 1.0, 2.0), -5.0, None, 1.0)
+        report = picard_solve(problem, SolverConfig(n=512, tol=1e-10))
+        assert len(report.iterations) > 100
+        assert calls == [512]  # over all nodes, not once per subinterval or sweep
+
     def test_nonfinite_rhs_in_a_later_subinterval_names_x_and_subinterval(self):
         p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
 
@@ -451,19 +485,20 @@ class TestPredictedStart:
     def test_frozen_rows_from_the_marched_history_equal_a_stateless_apply(self, monkeypatch):
         # the history folds each block in once as subintervals freeze; the
         # apply that reruns the recurrence from block 0 must agree with it
-        from hkfrac.operators import _left_rows
+        from hkfrac.operators import _CompressedLeft
 
+        rows = _CompressedLeft.rows
         marched = []
 
-        def checked(grid, terms, r0, r1, c0, residual, core=0.0, sigma=0.0, history=None):
-            got = _left_rows(grid, terms, r0, r1, c0, residual, core, sigma, history)
+        def checked(self, r0, r1, c0, residual, history=None):
+            got = rows(self, r0, r1, c0, residual, history)
             if history is not None:
-                want = _left_rows(grid, terms, r0, r1, c0, residual, core, sigma)
+                want = rows(self, r0, r1, c0, residual)
                 assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
                 marched.append(history.k)
             return got
 
-        monkeypatch.setattr(solver, "_left_rows", checked)
+        monkeypatch.setattr(_CompressedLeft, "rows", checked)
         report = picard_solve(_STIFF["hk-lambda-5"], SolverConfig(n=512, tol=1e-10))
         assert len(marched) == len(report.iterations) - 1  # every subinterval after the first
         assert marched == sorted(marched) and marched[-1] >= 5  # the history marched
