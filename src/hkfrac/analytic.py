@@ -33,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .frame import GridFn, HKParams, make_graded_grid, z_of_x
+from .frame import Grid, GridFn, HKParams, make_graded_grid, z_of_x
 from .operators import _kernel_apply_left
 from .specfun import KSQuery, MLQuery, log_gamma, ml2, ml_ks
 
@@ -88,8 +88,12 @@ class PowerWeightedSpec:
             )
 
 
-def _check_in_domain(params: HKParams, x, power: float) -> np.ndarray:
-    """x as an array; x = a is refused where the factor z^power diverges."""
+def _z_at(params: HKParams, x, power: float) -> np.ndarray:
+    """z at x, or a Grid's own ``nodes_z``; x = a is refused where z^power diverges."""
+    if isinstance(x, Grid):
+        if x.params != params:
+            raise ValidationError("grid parameters must match the problem's")
+        return x.nodes_z
     xa = np.asarray(x, dtype=float)
     finite_at_a = power >= 0.0
     above_a = xa >= params.a if finite_at_a else xa > params.a
@@ -98,7 +102,7 @@ def _check_in_domain(params: HKParams, x, power: float) -> np.ndarray:
         first = float(xa.flat[np.argmax(bad)])
         lower = "a <= x" if finite_at_a else "a < x"
         raise ValidationError(f"x must satisfy {lower} <= b (got x = {first!r})")
-    return xa
+    return np.asarray(z_of_x(params, xa), dtype=float)
 
 
 def homogeneous_solution(spec: LinearProblemSpec, x):
@@ -106,15 +110,16 @@ def homogeneous_solution(spec: LinearProblemSpec, x):
 
     At x = a this is the limit c E_{alpha,1}(0) = c when gamma = 1; for
     gamma < 1 the factor z^(gamma-1) diverges there and x = a is refused.
+    x is a float, an ndarray, or a :class:`Grid` of the spec's parameters,
+    whose exact ``nodes_z`` are then used (leading nodes_x may round to a).
     """
     if spec.source is not None:
         raise ValidationError("homogeneous solution requires source = None")
     params = spec.params
     g = params.gamma
-    xa = _check_in_domain(params, x, g - 1.0)
-    z = np.asarray(z_of_x(params, xa), dtype=float)
+    z = _z_at(params, x, g - 1.0)
     out = spec.c * z ** (g - 1.0) * ml2(MLQuery(params.alpha, g, spec.lam * z**params.alpha))
-    return out if isinstance(x, np.ndarray) else float(out)
+    return out if isinstance(x, (np.ndarray, Grid)) else float(out)
 
 
 def _ml_kernel_terms(alpha: float, lam: float, z_top: float) -> tuple:
@@ -159,13 +164,15 @@ def linear_solution(spec: LinearProblemSpec, x: float) -> float:
 
 
 def power_weighted_solution(spec: PowerWeightedSpec, x):
-    """phi(x) = c/Gamma(alpha) z^(alpha-1) E_{alpha,l,m}[lambda z^(alpha+xi)]."""
+    """phi(x) = c/Gamma(alpha) z^(alpha-1) E_{alpha,l,m}[lambda z^(alpha+xi)].
+
+    x is a float, an ndarray or a :class:`Grid`, as in :func:`homogeneous_solution`.
+    """
     params = spec.params
     alpha = params.alpha
-    xa = _check_in_domain(params, x, alpha - 1.0)
+    z = _z_at(params, x, alpha - 1.0)
     l = 1.0 + (spec.xi - 1.0) / alpha
     m = 1.0 + spec.xi / alpha
     pref = spec.c * math.exp(-log_gamma(alpha))
-    z = np.asarray(z_of_x(params, xa), dtype=float)
     out = pref * z ** (alpha - 1.0) * ml_ks(KSQuery(alpha, l, m, spec.lam * z ** (alpha + spec.xi)))
-    return out if isinstance(x, np.ndarray) else float(out)
+    return out if isinstance(x, (np.ndarray, Grid)) else float(out)

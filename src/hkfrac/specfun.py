@@ -13,9 +13,12 @@ ndarray of the same shape):
   gamma-ratio product coefficients, accumulated in log space.
 
 One Lanczos core serves both double and extended precision, and one series
-loop serves both families: each supplies only the logs of its coefficients.
-Every argument of an array is summed with its own stopping point, so an
-array gives bit for bit the values of the per-element calls.
+loop serves both families: each supplies only the logs of its coefficients,
+made once per call and only as far as some argument needs.  Term k is
+t_(k-1) x c_k / c_(k-1), a running product along each chunk of terms, and
+every partial sum continues the one before it, so an argument's value and
+stopping point do not depend on how terms are chunked or arguments blocked:
+an array gives bit for bit the values of the per-element calls.
 
 Everything here is a pure function of its arguments; evaluation is
 series-only over the fixed guard range |x| <= ``SERIES_X_MAX`` = 50 with at
@@ -61,8 +64,11 @@ SERIES_EPS = 1e-16
 # that point even extended-precision terms cannot guarantee 1e-10 relative
 # accuracy (measured error tracks ~3e-16 * cancellation ratio).
 CANCEL_LIMIT = 3e5
+# A term above e^709 would overflow a double; the series is refused there.
+_TERM_MAX = np.exp(np.longdouble(709.0))
 
-_CHUNK = 128
+# Terms summed per step.  Most arguments stop within a few dozen terms.
+_CHUNK = 32
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 # Evaluated in double it gives ~2e-15 scaled accuracy for ln Gamma on the
@@ -89,10 +95,9 @@ _LANCZOS_COEFFS = (
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Arguments summed together.  It bounds the (arguments x _CHUNK) long-double
-# work arrays: at 1024 arguments per call, blocks of 64 raised peak RSS by
-# 0.85 MB and blocks of 32 by 0.2 MB, at 26 and 33 ms per call.
-_BLOCK = 32
+# Arguments summed together.  The (_BLOCK x _CHUNK) long-double work arrays
+# hold 4096 elements; neither setting moves a value or a stopping point.
+_BLOCK = 128
 
 
 def _lanczos_log_gamma(x: np.ndarray) -> np.ndarray:
@@ -186,22 +191,15 @@ class KSQuery:
             raise ValidationError(f"KSQuery requires m > 0 (got {self.m})")
 
 
-def _finish(total: np.ndarray, abssum: np.ndarray, what: str) -> np.ndarray:
-    if np.any(abssum > CANCEL_LIMIT * np.abs(total)):
-        raise DomainError(
-            f"series regime exceeded: cancellation in the {what} series "
-            "leaves too few reliable digits"
-        )
-    return total.astype(float)
-
-
 def _power_series(log_coef_chunks, x, start: int, at_zero: float, what: str):
     """sum_k c_k x^k for a float or an ndarray x, from the logs of c_k.
 
     ``log_coef_chunks(ks_chunks)`` yields ln c_k for each successive chunk of
-    term indices k = start, start + 1, ...  ``at_zero`` = c_0 is the value at
-    x = 0; with ``start`` = 1 it is summed up front.  Each argument stops at
-    its own first term with k >= 1 and |t_k| <= SERIES_EPS |partial sum|.
+    term indices k = start, start + 1, ...; it is drawn once per call, only as
+    far as some argument reaches, and every block of arguments reuses it.
+    ``at_zero`` = c_0 is the value at x = 0; with ``start`` = 1 it is summed
+    up front (and c_0 = 1 starts the recurrence).  Each argument stops at its
+    own first term with k >= 1 and |t_k| <= SERIES_EPS |partial sum|.
     """
     xa = np.asarray(x, dtype=float)
     outside = ~(np.abs(xa) <= SERIES_X_MAX)  # NaN is outside too
@@ -211,29 +209,42 @@ def _power_series(log_coef_chunks, x, start: int, at_zero: float, what: str):
         )
     flat = xa.reshape(-1)
     out = np.full(flat.shape, at_zero)
-    ks_chunks = [np.arange(k, min(k + _CHUNK, SERIES_MAX_TERMS))
-                 for k in range(start, SERIES_MAX_TERMS, _CHUNK)]
+    starts = range(start, SERIES_MAX_TERMS, _CHUNK)
+    log_coefs = log_coef_chunks(np.arange(k, min(k + _CHUNK, SERIES_MAX_TERMS)) for k in starts)
+    chunks, log_c = [], np.longdouble(0.0)  # (ks, c_k / c_(k-1)) per chunk made; c_(start-1) = 1
     head = np.longdouble(at_zero if start else 0.0)
     nonzero = np.flatnonzero(flat)
     for b in range(0, nonzero.size, _BLOCK):
         idx = nonzero[b:b + _BLOCK]
-        log_ax = np.log(np.abs(flat[idx].astype(np.longdouble)))[:, None]
-        negative = (flat[idx] < 0.0)[:, None]
-        total = np.full(idx.size, head)
-        abssum = np.full(idx.size, head)
+        xs = flat[idx].astype(np.longdouble)
+        total, abssum = np.full(idx.size, head), np.full(idx.size, head)
+        term = np.ones(idx.size, dtype=np.longdouble)  # t_(k-1), carried across chunks
         rows = np.arange(idx.size)  # the arguments still summing
-        for ks, log_c in zip(ks_chunks, log_coef_chunks(ks_chunks)):
-            log_terms = log_c + ks * log_ax[rows]
-            if np.any(log_terms > 709.0):
-                raise DomainError("series regime exceeded: term overflows double range")
-            terms = np.exp(log_terms)
-            signed = np.where((ks % 2 == 1) & negative[rows], -terms, terms)
-            partial = total[rows, None] + np.cumsum(signed, axis=1)
-            done = (ks >= 1) & (terms <= np.longdouble(SERIES_EPS) * np.abs(partial))
+        for i, k0 in enumerate(starts):
+            if i == len(chunks):
+                log_cs = next(log_coefs)
+                ratio = np.exp(np.diff(log_cs, prepend=log_c))
+                chunks.append((np.arange(k0, k0 + ratio.size), ratio))
+                log_c = log_cs[-1]
+            ks, ratio = chunks[i]
+            # t_k = t_(k-1) x c_k / c_(k-1), one cumprod per row; t_0 = c_0
+            steps = xs[rows, None] * ratio
+            steps[:, 0] = ratio[0] if k0 == 0 else steps[:, 0] * term[rows]
+            terms = np.cumprod(steps, axis=1)
+            mags = np.abs(terms)
+            over = mags > _TERM_MAX
+            if np.any(over):
+                raise DomainError("series regime exceeded: term overflows double range "
+                                  f"(x = {flat[idx[rows[over.any(axis=1).argmax()]]]})")
+            # running sums start from the carried total, so they do not depend on the chunking
+            partial = np.cumsum(np.column_stack((total[rows], terms)), axis=1)[:, 1:]
+            done = (ks >= 1) & (mags <= np.longdouble(SERIES_EPS) * np.abs(partial))
             hit = done.any(axis=1)
             last = np.where(hit, done.argmax(axis=1), ks.size - 1)
-            total[rows] = partial[np.arange(rows.size), last]
-            abssum[rows] += np.sum(np.where(np.arange(ks.size) <= last[:, None], terms, 0.0), axis=1)
+            at_last = np.arange(rows.size), last
+            total[rows] = partial[at_last]
+            abssum[rows] = np.cumsum(np.column_stack((abssum[rows], mags)), axis=1)[:, 1:][at_last]
+            term[rows] = terms[:, -1]
             rows = rows[~hit]
             if not rows.size:
                 break
@@ -242,7 +253,11 @@ def _power_series(log_coef_chunks, x, start: int, at_zero: float, what: str):
                 f"{what} series did not converge within {SERIES_MAX_TERMS} terms "
                 f"(x={flat[idx[rows[0]]]})"
             )
-        out[idx] = _finish(total, abssum, what)
+        cancelled = abssum > CANCEL_LIMIT * np.abs(total)
+        if np.any(cancelled):
+            raise DomainError(f"series regime exceeded: cancellation in the {what} series leaves "
+                              f"too few reliable digits (x = {flat[idx[cancelled.argmax()]]})")
+        out[idx] = total.astype(float)
     out = out.reshape(xa.shape)
     return out if isinstance(x, np.ndarray) else float(out)
 
@@ -296,7 +311,8 @@ def ml_ks(q: KSQuery):
             a_den = a_num + alpha
             _ks_check_gamma_args(a_num, "alpha(j m + l)")
             _ks_check_gamma_args(a_den, "alpha(j m + l + 1)")
-            log_cs = log_c + np.cumsum(_lanczos_log_gamma(a_num) - _lanczos_log_gamma(a_den))
+            steps = _lanczos_log_gamma(a_num) - _lanczos_log_gamma(a_den)
+            log_cs = np.cumsum(np.concatenate(([log_c], steps)))[1:]  # from the carried ln c
             log_c = log_cs[-1]
             yield log_cs
 

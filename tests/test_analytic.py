@@ -106,6 +106,33 @@ class TestHomogeneousSolution:
             power_weighted_solution(PowerWeightedSpec(make_params(0.3, 0.0, 2.0, 1.0, 2.0),
                                                       -1.0, 0.5, 1.0), grid.nodes_x)
 
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_grid_is_evaluated_at_its_own_z(self, beta):
+        # alpha = 0.3, gamma < 1: leading nodes_x round to a, but every nodes_z is > 0
+        p = make_params(0.3, beta, 2.0, 1.0, 2.0)
+        grid = make_graded_grid(p, 4096)
+        if beta:
+            spec, solution = LinearProblemSpec(p, -1.0, 3.0), homogeneous_solution
+        else:
+            spec, solution = PowerWeightedSpec(p, -1.0, 0.5, 1.0), power_weighted_solution
+        values = solution(spec, grid)
+        assert values.shape == (grid.n,) and np.all(np.isfinite(values))
+        above = grid.nodes_x > p.a
+        assert np.sum(~above) > 0
+        from_x = solution(spec, grid.nodes_x[above])
+        # z rebuilt from x is far off near a; where it reproduces nodes_z, the paths agree
+        z_gap = np.abs(z_of_x(p, grid.nodes_x[above]) / grid.nodes_z[above] - 1.0)
+        assert z_gap.max() > 0.1
+        same_z = z_gap <= 1e-15
+        assert same_z.sum() > grid.n // 4
+        assert np.max(np.abs(values[above][same_z] / from_x[same_z] - 1.0)) <= 1e-14
+
+    def test_grid_of_other_parameters_is_refused(self):
+        grid = make_graded_grid(make_params(0.5, 0.5, 2.0, 1.0, 2.0), 64)
+        spec = LinearProblemSpec(make_params(0.5, 0.5, 1.0, 1.0, 2.0), -1.0, 1.0)
+        with pytest.raises(ValidationError, match="grid parameters"):
+            homogeneous_solution(spec, grid)
+
 
 class TestLinearSolution:
     def test_no_source_equals_homogeneous(self):

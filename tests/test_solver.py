@@ -108,7 +108,7 @@ class TestPicardSolve:
         prob = CauchyProblem.linear(p, -1.0, None, 1.0)
         report = picard_solve(prob, SolverConfig(n=1024, tol=1e-9))
         z = report.grid.nodes_z
-        exact_reg = np.array([ml2(MLQuery(0.5, p.gamma, -math.sqrt(zz))) for zz in z])
+        exact_reg = ml2(MLQuery(0.5, p.gamma, -np.sqrt(z)))
         assert np.max(np.abs(report.solution.regular_values - exact_reg)) <= 5e-4
 
     def test_inhomogeneous_against_closed_form(self):

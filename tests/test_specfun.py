@@ -12,6 +12,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from hkfrac import specfun
 from hkfrac.errors import ConvergenceError, DomainError, ValidationError
 from hkfrac.specfun import (
     SERIES_MAX_TERMS,
@@ -120,8 +121,10 @@ class TestML2:
             ml2(MLQuery(0.5, 1.0, np.r_[np.linspace(-1.0, 1.0, 100), math.nan]))
 
     def test_refuses_overflowing_terms(self):
-        with pytest.raises(DomainError, match="series regime"):
+        with pytest.raises(DomainError, match=r"term overflows double range \(x = 49\.0\)"):
             ml2(MLQuery(0.2, 1.0, 49.0))
+        with pytest.raises(DomainError, match=r"\(x = 49\.0\)"):
+            ml2(MLQuery(0.2, 1.0, np.r_[np.linspace(-1.0, 1.0, 100), 49.0, 48.0]))
 
     def test_term_cap_raises_convergence_error(self):
         # at alpha = 1e-6 every term of E(1) is about 1, so no cap is ever enough
@@ -131,10 +134,10 @@ class TestML2:
             ml2(MLQuery(1e-6, 1.0, np.r_[np.linspace(0.0, 0.1, 100), 1.0]))
 
     def test_refuses_catastrophic_cancellation(self):
-        with pytest.raises(DomainError, match="cancellation"):
+        with pytest.raises(DomainError, match=r"cancellation.*\(x = -20\.0\)"):
             ml2(MLQuery(0.5, 0.5, -20.0))
-        with pytest.raises(DomainError, match="cancellation"):
-            ml2(MLQuery(0.5, 0.5, np.r_[np.linspace(-1.0, 1.0, 100), -20.0]))
+        with pytest.raises(DomainError, match=r"cancellation.*\(x = -20\.0\)"):
+            ml2(MLQuery(0.5, 0.5, np.r_[np.linspace(-1.0, 1.0, 100), -20.0, -25.0]))
 
     def test_query_validation(self):
         with pytest.raises(ValidationError):
@@ -221,3 +224,39 @@ class TestMLKS:
             KSQuery(-0.5, 0.5, 1.0, 0.0)
         with pytest.raises(ValidationError):
             KSQuery(0.5, 0.5, 0.0, 0.0)
+
+
+class TestSeriesLayout:
+    """The series loop sums in chunks of terms and blocks of arguments; neither is visible."""
+
+    XS = np.concatenate([np.linspace(-3.0, 3.0, 121), [0.0, -0.0, 1e-300, 30.0, SERIES_X_MAX]])
+
+    def both(self):
+        return (ml2(MLQuery(0.9, 1.3, self.XS)), ml_ks(KSQuery(0.7, -0.3, 1.0, self.XS)))
+
+    @pytest.mark.parametrize("chunk,block", [(7, 5), (128, 32)])
+    def test_values_do_not_depend_on_chunk_or_block(self, monkeypatch, chunk, block):
+        default = self.both()
+        monkeypatch.setattr(specfun, "_CHUNK", chunk)
+        monkeypatch.setattr(specfun, "_BLOCK", block)
+        for got, want in zip(self.both(), default):
+            assert np.array_equal(got, want)
+
+    def test_coefficients_are_made_once_per_chunk_reached(self, monkeypatch):
+        calls = []
+        core = specfun._lanczos_log_gamma
+
+        def counted(x):
+            calls.append(x.size)
+            return core(x)
+
+        monkeypatch.setattr(specfun, "_lanczos_log_gamma", counted)
+        xs = np.linspace(-2.4, 3.0, 1024)
+        reached = 0
+        for x in (xs[0], xs[-1]):  # the extreme arguments need the most terms
+            calls.clear()
+            ml2(MLQuery(0.5, 0.5, float(x)))
+            reached = max(reached, len(calls))
+        calls.clear()
+        ml2(MLQuery(0.5, 0.5, xs))
+        assert len(calls) <= reached
