@@ -36,9 +36,10 @@ e >= 1 build the rows asked for in blocks of _ROW_BLOCK and keep none.
 
 Both sides apply their weights through one row-range apply,
 ``_kernel_rows`` (target rows [r0, r1)): the operators ask for all rows and
-the closed-form oracle for its last row alone.  The Picard solver calls the
-compressed tables itself, one subinterval's rows at a time, with history and
-active columns apart.
+the closed-form oracle for its last row alone.  A compressed apply is the
+band part ``_CompressedLeft.near`` plus the far rows of a ``_History``, the
+one code that folds moments.  The Picard solver calls both itself; its
+subintervals end within ``_band_reach``, so a sweep reads the band alone.
 
 Pure-power inputs (constant regular part) bypass quadrature entirely via the
 analytic rules, which keeps identities like D^a z^(a-1) = 0 exact rather
@@ -264,10 +265,10 @@ class _CompressedLeft:
     E_(b-1))).  Every factor is exp(-s d), d >= 0.  M(k), ``moments[k-2]``
     and ``decay[k-2]`` have the P_k = max_(k' >= k) N_k' columns that later
     rows read: N_k on the left nodes, graded toward a, and all on the
-    reflected right ones.  ``rows`` keeps no state; values that freeze from
-    node 0 on march M(k) forward in a ``_History``.  Tables are one array per
-    block: n-row tables of 4-5 MB at n = 4096 landed in whatever heap hole
-    the last solve left, and moved peak RSS by 2.7 MB.
+    reflected right ones.  The table keeps no values: ``near`` applies the
+    band, and a ``_History`` marches M(k) over values frozen from node 0 on.
+    Tables are one array per block: n-row tables of 4-5 MB at n = 4096 landed
+    in whatever heap hole the last solve left, and moved peak RSS by 2.7 MB.
     """
 
     def __init__(self, u: np.ndarray, terms: KernelTerms, exp_sum):
@@ -276,7 +277,7 @@ class _CompressedLeft:
         self.band = [_weight_rows(u, terms, r0, min(r0 + B, n),
                                   np.zeros((min(r0 + B, n) - r0, 2 * B + 1)), col0=max(r0 - B, 0))
                      for r0 in range(0, n, B)]
-        self.at_row, self.decay, self.moments, self.width = [None, None], [], [], 0
+        self.n, self.at_row, self.decay, self.moments, self.width = n, [None, None], [], [], 0
         n_far = -(-n // B) - 2  # blocks that are far from some row
         if n_far < 1:
             return
@@ -299,73 +300,57 @@ class _CompressedLeft:
             targets = u[p0 + 2 * B + 1:p0 + 3 * B + 1, None]  # the rows of block b + 2
             self.at_row.append(om[:N] * np.exp(-s[:N] * (targets - ends[b])))
 
-    def rows(self, r0: int, r1: int, c0: int, residual: np.ndarray,
-             history: _History | None = None) -> np.ndarray:
-        """Rows [r0, r1) of the operator on ``residual`` at nodes c0, c0 + 1, ....
-
-        Far rows start from M(k) of a ``history`` of these values (c0 = 0, r0 // _BLOCK >= k).
-        """
+    def near(self, r0: int, r1: int, c0: int, values: np.ndarray) -> np.ndarray:
+        """Rows [r0, r1) of the operator on ``values`` at nodes c0, c0 + 1, ..., from the bands alone."""
         B = _BLOCK
         k0, k1 = r0 // B, (r1 - 1) // B
-        c1 = c0 + residual.size
-        off = (k0 - 1) * B if k0 > 1 else 0
-        if k0 == k1 and c1 <= off + 2 * B + 1 and (c0 > off or k0 < 2):
-            # one row block and no far node: one slice of the band
-            return self.band[k0][r0 - k0 * B:r1 - k0 * B, c0 - off:c1 - off] @ residual
+        c1 = c0 + values.size
+        off = max(k0 - 1, 0) * B
+        if k0 == k1 and off <= c0 and c1 <= off + 2 * B + 1:
+            # one row block and every node in its band: one slice
+            return self.band[k0][r0 - k0 * B:r1 - k0 * B, c0 - off:c1 - off] @ values
         out = np.empty(r1 - r0)
         for k in range(k0, k1 + 1):
-            # the band of row block k; later nodes are past its rows' reach
+            # the band of row block k; earlier nodes are its far field, later ones past its reach
             a, b = max(r0, k * B), min(r1, (k + 1) * B)
-            off = (k - 1) * B if k > 1 else 0
+            off = max(k - 1, 0) * B
             lo = max(c0, off)
             hi = max(lo, min(c1, off + 2 * B + 1))
             out[a - r0:b - r0] = (self.band[k][a - k * B:b - k * B, lo - off:hi - off]
-                                  @ residual[lo - c0:hi - c0])
-        # the far panels of row block k end at node (k - 1) B
-        if k1 < 2 or c0 > (k1 - 1) * B:
-            return out
-        k, M = (history.k, history.M) if history else (max(-(-c0 // B), 1), np.zeros(self.width))
-        if k < k1:  # blocks to fold: the values at nodes 0 .. (k1 - 1) B
-            v = np.zeros((k1 - 1) * B + 1)
-            v[c0:c0 + residual.size] = residual[:v.size - c0]
-        for k in range(k, k1 + 1):
-            if k >= max(k0, 2):
-                a, b = max(r0, k * B), min(r1, (k + 1) * B)
-                far = history.far if history and k == history.k else self._far(k, M)
-                out[a - r0:b - r0] += far[a - k * B:b - k * B]
-            if k < k1:
-                M = self._fold(M, k - 1, v)
+                                  @ values[lo - c0:hi - c0])
         return out
 
-    def _far(self, k: int, M: np.ndarray) -> np.ndarray:
-        """The far integrals of row block k, k >= 2, from M = M(k)."""
-        return self.at_row[k] @ M[:self.at_row[k].shape[1]]
 
-    def _fold(self, M: np.ndarray, b: int, v: np.ndarray) -> np.ndarray:
-        """M(b + 2) from M = M(b + 1) and the values v at nodes 0, 1, ...."""
-        decay = self.decay[b]
-        return decay * M[:decay.size] + v[b * _BLOCK:(b + 1) * _BLOCK + 1] @ self.moments[b]
+def _band_reach(start: int) -> int:
+    """The furthest end of rows [start, end) whose far panels all end by node start: two row blocks."""
+    return (start // _BLOCK + 2) * _BLOCK
 
 
 class _History:
-    """M(k) and row block k's far rows of a left ``table``, over values frozen from node 0 on.
+    """The far rows ``far`` of a left ``table`` over values v frozen from node 0 on.
 
-    ``advance(v, start)`` folds each block in once, when every row from
-    ``start`` on reads it, up to k = start // _BLOCK (the marching history of
-    Jiang, Zhang, Zhang & Zhang, CiCP 21 (2017) 650); the solver passes it to
-    ``table.rows`` for the rows past the frozen values.
+    ``advance(v, start)`` folds each block into M(k) once, and writes the far
+    rows of each row block k <= start // _BLOCK + 1 once: their far panels end
+    by node start (the marching history of Jiang, Zhang, Zhang & Zhang, CiCP
+    21 (2017) 650).
     """
 
     def __init__(self, table: _CompressedLeft):
         self.table = table
-        self.k, self.M, self.far = 1, np.zeros(table.width), None
+        self.k, self.M, self.far = 2, np.zeros(table.width), np.zeros(table.n)
 
     def advance(self, v: np.ndarray, start: int) -> None:
-        k = start // _BLOCK
-        if k > self.k:
-            for b in range(self.k - 1, k - 1):
-                self.M = self.table._fold(self.M, b, v)
-            self.k, self.far = k, self.table._far(k, self.M)
+        B, table = _BLOCK, self.table
+        for k in range(self.k, min(start // B + 2, len(table.band))):
+            self._fold(k - 2, v)
+            at_row = table.at_row[k]
+            self.far[k * B:(k + 1) * B] = at_row @ self.M[:at_row.shape[1]]
+            self.k = k + 1
+
+    def _fold(self, b: int, v: np.ndarray) -> None:
+        """M(b + 2) from M(b + 1) and the values v at nodes 0, 1, ...."""
+        decay = self.table.decay[b]
+        self.M = decay * self.M[:decay.size] + v[b * _BLOCK:(b + 1) * _BLOCK + 1] @ self.table.moments[b]
 
 
 def _compressed(grid: Grid, terms: KernelTerms, side: str) -> _CompressedLeft | None:
@@ -390,7 +375,9 @@ def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int,
     """
     table = _compressed(grid, terms, side)
     if table is not None:
-        return table.rows(r0, r1, 0, values)
+        history = _History(table)
+        history.advance(values, table.n)
+        return table.near(r0, r1, 0, values) + history.far[r0:r1]
     u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
     out = np.zeros(r1 - r0)
     for a in range(r0, r1, _ROW_BLOCK):

@@ -21,8 +21,9 @@ target theta = 0.5, iterates each to tolerance in the weighted norm, freezes
 it, and folds the frozen history integral into the next subinterval's fixed
 part.  That integral is computed once per subinterval, from f at the
 converged iterates, so a sweep evaluates f and applies the weights on the
-current subinterval's nodes only; its far field comes from moments that a
-cursor folds in once per block as the blocks freeze.
+current subinterval's nodes only.  A subinterval also ends within two
+blocks of the compressed kernel, so a sweep reads its near band alone; the
+far field comes from moments a cursor folds in once per block as they freeze.
 
 The map is a contraction on each subinterval, so the iteration converges
 from any start.  The first subinterval starts from the paper's phi_0; each
@@ -51,7 +52,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ValidationError
 from .frame import Grid, GridFn, HKParams, make_graded_grid, x_of_z, z_of_x
-from .operators import _compressed, _core_convolution, _History, _plain_kernel
+from .operators import _band_reach, _compressed, _core_convolution, _History, _plain_kernel
 from .specfun import gamma_ratio, log_gamma
 
 __all__ = [
@@ -209,22 +210,24 @@ def lipschitz_estimate(problem: CauchyProblem) -> float:
 
 
 def _snap_breakpoints(grid: Grid, A: float) -> tuple[list, list]:
-    """Greedy subinterval end indices on the grid, with their actual factors."""
+    """Greedy subinterval end indices on the grid, with their actual factors.
+
+    Each ends before its factor passes theta and within the band reach of its
+    start, so every sweep reads the compressed kernel's near band alone.
+    """
     params = grid.params
     z = grid.nodes_z
     n = grid.n
     coef = A * gamma_ratio(params.gamma, params.alpha + params.gamma)
-    if A == 0.0 or coef * z[-1] ** params.alpha <= _THETA:
-        return [n], [coef * z[-1] ** params.alpha]
-    dz = (_THETA / coef) ** (1.0 / params.alpha)
+    # dz = inf when no factor can pass theta: A = 0, or an A so small that dz would overflow
+    dz = math.inf if coef * z[-1] ** params.alpha <= _THETA else (_THETA / coef) ** (1.0 / params.alpha)
     ends = []
     factors = []
     start = 0  # number of frozen nodes; subinterval is z[start:end]
     z_start = 0.0
     while start < n:
-        end = int(np.searchsorted(z, z_start + dz, side="right"))
-        if end <= start:
-            end = start + 1  # a single panel longer than dz: take it, verify below
+        end = min(int(np.searchsorted(z, z_start + dz, side="right")), _band_reach(start))
+        end = max(end, start + 1)  # a single panel longer than dz: take it, verify below
         w = coef * (z[end - 1] - z_start) ** params.alpha
         if w >= 1.0:
             raise ConvergenceError(
@@ -292,30 +295,9 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     phi0_reg = problem.c * math.exp(-log_gamma(g))
     reg = np.full(n, phi0_reg)
 
-    try:
-        ends, factors = _snap_breakpoints(grid, A)
-    except ConvergenceError as err:
-        err.report = SolveReport(
-            solution=GridFn(grid, g - 1.0, reg.copy()),
-            breakpoints=np.array([params.b]),
-            contraction_factors=[],
-            residual_history=[],
-            iterations=[],
-            converged=False,
-        )
-        raise
-
-    terms = _plain_kernel(alpha)
-    table = _compressed(grid, terms, "left")
-    cursor = _History(table)  # the far moments of the frozen columns of v
-    core = _core_convolution(terms, g - 1.0, z)  # the integral of z^(gamma-1)
-    z_pow_up = z ** (1.0 - g)   # maps values to the weighted (regular) scale
-    z_pow_dn = z ** (g - 1.0)
-    # the integrand less its singular core fr1 z^(gamma-1), at [0, z_1, ..., z_n]
-    v = np.zeros(n + 1)
-
     residual_history: list = []
     iterations: list = []
+    ends, factors = [n], []  # what a grid too coarse to split reports
 
     def partial_report(converged: bool) -> SolveReport:
         return SolveReport(
@@ -326,6 +308,21 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             iterations=list(iterations),
             converged=converged,
         )
+
+    try:
+        ends, factors = _snap_breakpoints(grid, A)
+    except ConvergenceError as err:
+        err.report = partial_report(False)
+        raise
+
+    terms = _plain_kernel(alpha)
+    table = _compressed(grid, terms, "left")
+    cursor = _History(table)  # the far rows of the frozen columns of v
+    core = _core_convolution(terms, g - 1.0, z)  # the integral of z^(gamma-1)
+    z_pow_up = z ** (1.0 - g)   # maps values to the weighted (regular) scale
+    z_pow_dn = z ** (g - 1.0)
+    # the integrand less its singular core fr1 z^(gamma-1), at [0, z_1, ..., z_n]
+    v = np.zeros(n + 1)
 
     def at(s: int, k: int) -> str:
         return f"subinterval {s + 1}, " + (f"sweep {k}" if k else "converged iterate")
@@ -351,8 +348,8 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         # Past the first subinterval, fr1 and the frozen columns of v are fixed,
         # so their integral is computed once.  On the first, fr1 comes from
         # the active node 0 and the core term is added in every sweep.
-        frozen = 0.0 if s == 0 else (
-            table.rows(start, end, 0, v[:start + 1], cursor) + fr1 * core[start:end])
+        frozen = 0.0 if s == 0 else (table.near(start, end, 0, v[:start + 1])
+                                     + cursor.far[start:end] + fr1 * core[start:end])
         # the first subinterval starts from phi_0, a later one from the
         # extrapolated frozen solution
         predicted = s > 0
@@ -364,7 +361,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             f_vals = rhs_on(xs, dn * reg[start:end], s, k)
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]
-            active = table.rows(start, end, start + 1, f_vals - fr1 * dn)
+            active = table.near(start, end, start + 1, f_vals - fr1 * dn)
             if s == 0:
                 active += fr1 * core[:end]
             new_reg = phi0_reg + up * (frozen + active)

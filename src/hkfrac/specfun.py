@@ -72,8 +72,10 @@ _CHUNK = 32
 
 # Lanczos approximation, g = 607/128, 15 coefficients (Godfrey's set).
 # Evaluated in double it gives ~2e-15 scaled accuracy for ln Gamma on the
-# positive axis; evaluated in long double the coefficient set itself is good
-# to ~1.5e-16 absolute on ln Gamma for the argument range the series use.
+# positive axis.  Evaluated in long double its error against mpmath's loggamma
+# grows with the argument: 1.4e-16 at 1.3, 3.6e-16 at 100.3, 1.4e-15 at 300.9,
+# 1.9e-15 at 600.2 and 3.3e-15 at 1200.7, within 5e-16 + 1e-18 |ln Gamma(x)|
+# on [1, 1200].
 _LANCZOS_G = 607.0 / 128.0
 _LANCZOS_COEFFS = (
     0.99999999999999709182,

@@ -285,7 +285,9 @@ class TestCompressedLeftKernel:
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
     def test_row_ranges_match_the_dense_oracle(self, family, n):
-        from hkfrac.operators import _compressed, _plain_kernel, _weight_matrix
+        from hkfrac.operators import (
+            _band_reach, _compressed, _History, _kernel_rows, _plain_kernel, _weight_matrix,
+        )
 
         B = _BLOCK
         p = _families()[family]
@@ -298,22 +300,38 @@ class TestCompressedLeftKernel:
         def close(got, want):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-        close(table.rows(0, n, 0, v), W @ v)
-        # row ranges and history/active splits that cross block boundaries
+        def far(values):
+            # the far rows of a history over values at every node
+            history = _History(table)
+            history.advance(values, n)
+            return history.far
+
+        close(table.near(0, n, 0, v) + far(v), W @ v)
+        # row ranges and column splits that cross block boundaries: band and
+        # far parts of the nodes before the split and of those from it on
         for r0, r1, split in ((0, n, n // 3), (B - 3, 2 * B + 4, B + 7), (2 * B - 1, 3 * B + 2, B - 1),
                               (3 * B, 3 * B + 5, 2 * B), (n - 5, n, n // 2), (n - 5, n, n - 4)):
-            want = W[r0:r1] @ v
-            history = table.rows(r0, r1, 0, v[:split])
-            active = table.rows(r0, r1, split, v[split:r1 + 1])
-            close(history + active, want)
-            close(history, W[r0:r1, :split] @ v[:split])
+            head, tail = v.copy(), v.copy()
+            head[split:], tail[:split] = 0.0, 0.0
+            before = table.near(r0, r1, 0, v[:split]) + far(head)[r0:r1]
+            after = table.near(r0, r1, split, v[split:r1 + 1]) + far(tail)[r0:r1]
+            close(before + after, W[r0:r1] @ v)
+            close(before, W[r0:r1, :split] @ v[:split])
+        # rows within the band reach of a start read every later node in their bands
+        for start in (0, B - 1, B, 2 * B + 7, n - 7):
+            end = min(_band_reach(start), n)
+            tail = v.copy()
+            tail[:start + 1] = 0.0
+            assert not np.any(far(tail)[start:end])
+            close(table.near(start, end, start + 1, v[start + 1:end + 1]),
+                  W[start:end, start + 1:end + 1] @ v[start + 1:end + 1])
         # a call whose far values changed is not served from the call before
         r0, r1 = n - 3, n
-        before = table.rows(r0, r1, 0, v[:r0 + 1])
+        before = _kernel_rows(g, terms, "left", r0, r1, v)
         w = v.copy()
         w[5] += 1.0
-        after = table.rows(r0, r1, 0, w[:r0 + 1])
-        close(after, W[r0:r1, :r0 + 1] @ w[:r0 + 1])
+        after = _kernel_rows(g, terms, "left", r0, r1, w)
+        close(after, W[r0:r1] @ w)
         assert not np.array_equal(before, after)
 
     @pytest.mark.parametrize("order", [0.1, 0.3, 0.5, 0.7, 0.9])

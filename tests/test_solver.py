@@ -11,7 +11,14 @@ from hkfrac import solver, verify
 from hkfrac.analytic import LinearProblemSpec, linear_solution
 from hkfrac.errors import ConvergenceError, DomainError, ValidationError
 from hkfrac.frame import make_graded_grid, make_params, z_of_x
-from hkfrac.operators import _plain_kernel, _weight_matrix, hk_derivative, power_rule_analytic
+from hkfrac.operators import (
+    _BLOCK,
+    _band_reach,
+    _plain_kernel,
+    _weight_matrix,
+    hk_derivative,
+    power_rule_analytic,
+)
 from hkfrac.solver import (
     CauchyProblem,
     SolverConfig,
@@ -42,6 +49,29 @@ class TestContractionFactor:
         xs = np.linspace(1.05, 2.0, 20)
         ws = [contraction_factor(1.0, p, float(x)) for x in xs]
         assert all(b > a for a, b in zip(ws, ws[1:]))
+
+
+class TestSplitting:
+    """Every subinterval ends within the band reach of its start."""
+
+    @pytest.mark.parametrize("params, A, n", [
+        (make_params(0.5, 0.5, 2.0, 1.0, 2.0), 1.0, 4096),
+        (make_params(0.5, 0.5, 2.0, 1.0, 2.0), 5.0, 512),
+        (make_params(0.6, 0.4, 1.0, 1.0, 2.0), 0.0, 1000),
+        (make_params(0.1, 0.0, 2.0, 1.0, 2.0), 1e-300, 1000),
+    ], ids=["mild", "stiff", "lambda-0", "small-A"])
+    def test_every_subinterval_ends_within_its_starts_band_reach(self, params, A, n):
+        grid = make_graded_grid(params, n)
+        ends, factors = _snap_breakpoints(grid, A)
+        starts = [0] + ends[:-1]
+        assert ends[-1] == n
+        assert all(start < end <= _band_reach(start) for start, end in zip(starts, ends))
+        assert all(w < 1.0 for w in factors)
+        if A < 1e-6:  # the band reach alone splits
+            assert ends == list(range(2 * _BLOCK, n, 2 * _BLOCK)) + [n]
+            report = picard_solve(CauchyProblem.linear(params, -A, np.cos, 1.0), SolverConfig(n=n))
+            assert report.converged
+            assert np.array_equal(report.breakpoints, grid.nodes_x[np.asarray(ends) - 1])
 
 
 class TestLipschitzEstimate:
@@ -399,6 +429,58 @@ class TestFrozenHistory:
             picard_solve(CauchyProblem.linear(p, -5.0, source, 1.0), SolverConfig(n=512))
         assert f"x = {x_bad!r} (subinterval {subinterval}, sweep 1)" in str(excinfo.value)
 
+    @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
+    def test_frozen_rows_of_every_subinterval_equal_the_dense_oracle(self, name, n, monkeypatch):
+        # band part plus the history's far rows, against the dense weights
+        from hkfrac import operators
+
+        problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
+        grid = make_graded_grid(problem.params, n)
+        W = _weight_matrix(grid, _plain_kernel(problem.params.alpha), left_sided=True)
+        cursors, checked = [], []
+
+        class Recorded(operators._History):
+            def __init__(self, table):
+                super().__init__(table)
+                cursors.append(self)
+
+        near = operators._CompressedLeft.near
+
+        def checked_near(self, r0, r1, c0, values):
+            got = near(self, r0, r1, c0, values)
+            if c0 == 0:  # the frozen part of subinterval [r0, r1)
+                [cursor] = cursors
+                assert values.size == r0 + 1
+                want = W[r0:r1, :r0 + 1] @ values
+                assert np.max(np.abs(got + cursor.far[r0:r1] - want)) <= 1e-13 * np.max(np.abs(want))
+                checked.append(r0)
+            return got
+
+        monkeypatch.setattr(solver, "_History", Recorded)
+        monkeypatch.setattr(operators._CompressedLeft, "near", checked_near)
+        report = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
+        ends = np.searchsorted(report.grid.nodes_x, report.breakpoints, side="right")
+        assert checked == ends[:-1].tolist()  # every subinterval after the first
+        assert ends[-2] > 3 * _BLOCK  # the far field is in play
+
+    @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
+    def test_a_solve_folds_each_far_block_once(self, name, n, monkeypatch):
+        from hkfrac import operators
+
+        fold = operators._History._fold
+        folded = []
+
+        def counted(self, b, v):
+            folded.append(b)
+            fold(self, b, v)
+
+        monkeypatch.setattr(operators._History, "_fold", counted)
+        problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
+        report = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
+        [table] = report.grid._cache.values()
+        assert len(table.decay) == -(-n // _BLOCK) - 2
+        assert folded == list(range(len(table.decay)))
+
 
 def _phi0_start(z, reg, start, end):
     # reg[start:end] still holds phi_0 when the start is taken: the start
@@ -430,6 +512,7 @@ _STIFF = {
     "caputo-lambda-15": CauchyProblem.linear(make_params(0.7, 1.0, 1.0, 1.0, 2.0), -15.0, None, 1.0),
     "manufactured-sine": _manufactured_sine_problem(),
 }
+_MILD_COS = CauchyProblem.linear(make_params(0.5, 0.5, 2.0, 1.0, 2.0), -1.0, np.cos, 1.0)
 
 
 class TestPredictedStart:
@@ -481,27 +564,6 @@ class TestPredictedStart:
         monkeypatch.setattr(solver, "_predicted_start", _phi0_start)
         with pytest.raises(ConvergenceError, match=r"overflowed on subinterval \d+ \(sweep 2\)"):
             picard_solve(_sqrt_problem(), config)
-
-    def test_frozen_rows_from_the_marched_history_equal_a_stateless_apply(self, monkeypatch):
-        # the history folds each block in once as subintervals freeze; the
-        # apply that reruns the recurrence from block 0 must agree with it
-        from hkfrac.operators import _CompressedLeft
-
-        rows = _CompressedLeft.rows
-        marched = []
-
-        def checked(self, r0, r1, c0, residual, history=None):
-            got = rows(self, r0, r1, c0, residual, history)
-            if history is not None:
-                want = rows(self, r0, r1, c0, residual)
-                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-                marched.append(history.k)
-            return got
-
-        monkeypatch.setattr(_CompressedLeft, "rows", checked)
-        report = picard_solve(_STIFF["hk-lambda-5"], SolverConfig(n=512, tol=1e-10))
-        assert len(marched) == len(report.iterations) - 1  # every subinterval after the first
-        assert marched == sorted(marched) and marched[-1] >= 5  # the history marched
 
     def test_prediction_outside_the_rhs_domain_reruns_from_phi0(self, monkeypatch):
         problem = _sqrt_problem()

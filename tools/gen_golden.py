@@ -28,10 +28,14 @@ OUT = Path(__file__).resolve().parents[1] / "src" / "hkfrac" / "golden" / "golde
 
 
 def ml2_series(alpha, beta, x, terms=500):
+    # the gamma arguments are formed in mpmath: alpha * k + beta in double rounds
+    # by up to an ulp, which the alternating sum at x = -3 amplifies to 2.6e-12
+    alpha, beta = mp.mpf(alpha), mp.mpf(beta)
     return sum(mp.mpf(x) ** k / mp.gamma(alpha * k + beta) for k in range(terms))
 
 
 def ks_series(alpha, l, m, x, terms=300):
+    alpha, l, m = mp.mpf(alpha), mp.mpf(l), mp.mpf(m)
     total = mp.mpf(1)
     c = mp.mpf(1)
     for k in range(1, terms):
