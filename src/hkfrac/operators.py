@@ -87,46 +87,44 @@ _ROW_BLOCK = 32
 
 
 def _weight_rows(u: np.ndarray, terms: KernelTerms, r0: int, r1: int, out: np.ndarray,
-                 col0: int = 0) -> np.ndarray:
-    """Rows [r0, r1) of the left product-integration weights on nodes u for sum_c c * w^(e-1).
+                 col0: int = 0, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Rows [r0, r1), at most _BLOCK, of the left product-integration weights for sum_c c * w^(e-1).
 
     Row i integrates over [u_0, u_(i+1)] against node values at u_0, u_1, ...;
-    only differences of u enter, so any shift or reflection of the nodes
-    that keeps their differences keeps the weights.  Over panel [u_j, u_(j+1)]
-    at kernel distances w_far = t - u_j and w_near = t - u_(j+1) from the
-    target t, the linear interpolant puts (w_far I0 - I1)/h on the near node
-    u_(j+1) and (I1 - w_near I0)/h on the far one, where I_p = (w_far^p -
-    w_near^p)/p for p = e, e + 1 is computed as -w_far^p expm1(p
-    log(w_near/w_far))/p: stable when w_near ~ w_far, and w_far^p/p on the
-    panel ending at the target, where w_near = 0 and expm1(-inf) = -1.  Only
-    the panels the rows touch are evaluated, and log(w_near/w_far) is shared
-    by both exponents of every term.  The rows are added into ``out``, whose
-    column c is node col0 + c, and returned; the panels start at node col0.
+    only differences of u enter.  Panel [u_j, u_(j+1)] of length h lies at
+    w_far = t - u_j and w_near = w_far - h from the target t.  With rm1 =
+    -h/w_far, L = log1p(rm1), em = expm1(e L) and em1 = expm1((e + 1) L) = em
+    (1 + rm1) + rm1, the linear interpolant puts S (em1/(e + 1) - em/e) on the
+    near node and S ((1 + rm1) em/e - em1/(e + 1)) on the far one, S = c
+    w_far^e w_far/h (w_far^(e+1) would round e + 1): stable when w_near ~
+    w_far, exact on the panel ending at t (rm1 = em = em1 = -1), and zero past
+    it (j > i, rm1 set to 0).  Eight arrays hold the work: views of
+    ``scratch`` (8, >= r1 - r0, >= r1 - col0) from a caller that builds many
+    blocks, else new ones (64 KB each for a band block, below glibc's mmap
+    threshold, which one 512 KB array raised for good).  The rows are added
+    into ``out``, whose column c is node col0 + c, col0 <= r0.
     """
-    t = u[r0 + 1:r1 + 1, None]
-    lo, hi = col0, r1  # the panels j <= i of any row in the range
-    if lo >= hi:
-        return out
+    lo, hi, m = col0, r1, r1 - r0  # the panels j <= i of any row in the range
     h = u[lo + 1:hi + 1] - u[lo:hi]
-    w_far, w_near = t - u[lo:hi], t - u[lo + 1:hi + 1]
-    # a panel past the target gets harmless distances and no weight
-    untouched = w_near < 0.0
-    np.putmask(w_near, untouched, 0.0)
-    np.putmask(w_far, untouched, 1.0)
+    w_far, rm1, log_q, q, em, em1, scale, tmp = (
+        (np.empty((m, hi - lo)) for _ in range(8)) if scratch is None else scratch[:, :m, :hi - lo])
+    np.subtract(u[r0 + 1:r1 + 1, None], u[lo:hi], out=w_far)
+    past = _PAST[:m, :m]
+    np.copyto(w_far[:, r0 - lo:], 1.0, where=past)
+    np.divide(-h, w_far, out=rm1)
+    np.copyto(rm1[:, r0 - lo:], 0.0, where=past)
     with np.errstate(divide="ignore"):
-        log_ratio = np.log(w_near / w_far)
-    to_near = np.zeros_like(w_far)
-    to_far = np.zeros_like(w_far)
+        np.log1p(rm1, out=log_q)  # -inf on the panel ending at the target
+    np.add(rm1, 1.0, out=q)
+    to_far, to_near = out[:, lo - col0:hi - col0], out[:, lo + 1 - col0:hi + 1 - col0]
     for coef, e in terms:
-        i0 = -(w_far**e) * np.expm1(e * log_ratio) / e
-        i1 = -(w_far ** (e + 1.0)) * np.expm1((e + 1.0) * log_ratio) / (e + 1.0)
-        to_near += coef * ((w_far * i0 - i1) / h)
-        to_far += coef * ((i1 - w_near * i0) / h)
-    np.putmask(to_near, untouched, 0.0)
-    np.putmask(to_far, untouched, 0.0)
-    lo, hi = lo - col0, hi - col0
-    out[:, lo:hi] += to_far
-    out[:, lo + 1:hi + 1] += to_near
+        np.expm1(np.multiply(log_q, e, out=em), out=em)
+        np.add(np.multiply(em, q, out=em1), rm1, out=em1)
+        np.multiply(np.multiply(np.power(w_far, e, out=scale), w_far, out=scale), 1.0 / h, out=scale)
+        em1 *= coef / (e + 1.0)
+        em *= coef / e
+        to_far += np.multiply(np.subtract(np.multiply(em, q, out=tmp), em1, out=tmp), scale, out=tmp)
+        to_near += np.multiply(np.subtract(em1, em, out=tmp), scale, out=tmp)
     return out
 
 
@@ -153,9 +151,9 @@ def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarr
     """
     u = _left_nodes(grid) if left_sided else _right_nodes(grid)
     n = u.size - 1
-    W = np.zeros((n, n + 1))
+    W, scratch = np.zeros((n, n + 1)), np.empty((8, _ROW_BLOCK, n))
     for r0 in range(0, n, _ROW_BLOCK):
-        _weight_rows(u, terms, r0, min(r0 + _ROW_BLOCK, n), out=W[r0:r0 + _ROW_BLOCK])
+        _weight_rows(u, terms, r0, min(r0 + _ROW_BLOCK, n), W[r0:r0 + _ROW_BLOCK], scratch=scratch)
     if left_sided:
         return W
     mirrored = np.zeros((grid.n, grid.n))
@@ -166,6 +164,7 @@ def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarr
 # Panels per block of the compressed left kernel.  At n = 4096, blocks of
 # 32-128 panels built within 10% of each other.
 _BLOCK = 64
+_PAST = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)  # [r, c]: panel r0 + c is past row r0 + r
 # Relative error of the sum of exponentials that replaces the kernel in the
 # far field; each of its Gauss rules has one node per decade of it.
 _EXP_SUM_TOL = 1e-14
@@ -223,27 +222,39 @@ def _exp_sum(e: float, delta: float, z_top: float, coef: float = 1.0) -> tuple[n
     return s, om / math.gamma(1.0 - e) * coef
 
 
-def _hat_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int_0^1 exp(-x r) r dr and int_0^1 exp(-x r) (1 - r) dr, for x > 0.
+def _hat_moments(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^1 exp(-x r) r dr and int_0^1 exp(-x r) (1 - r) dr at x = h_j s_l > 0, s ascending.
 
-    The first in closed form with expm1 for x >= 1, by its Taylor series
-    below, where the closed form cancels; the second as int_0^1 exp(-x r) dr
-    less the first, which loses at most a bit since the first is at most
-    half of that integral.
+    The first is sum_m c_m (-x)^m for x < 1, where the closed form (1 - (1 +
+    x) exp(-x))/x^2 cancels, and that form with expm1 above.  When every x is
+    below 1 (every block of the left nodes) the terms m >= 3 are one product
+    (c_m (-h_j/p)^m) @ ((s_l p)^m), p the power of two at or below max(h), so
+    that nothing overflows; Horner adds the first three, which keeps its
+    accuracy (the product alone lost 3x).  The second moment is int_0^1
+    exp(-x r) dr less the first: the first is at most half of it.
     """
-    em1 = np.expm1(-x)
-    far = np.empty_like(x)
-    small = x < 1.0
-    big = ~small
-    xb = x[big]
-    far[big] = (-em1[big] - xb * np.exp(-xb)) / xb**2
-    neg = -x[small]
-    series = np.full_like(neg, _FAR_SERIES[-1])
-    for c in _FAR_SERIES[-2::-1]:
-        series *= neg
-        series += c
-    far[small] = series
-    return far, -em1 / x - far
+    neg = np.multiply.outer(-h, s)
+    em1 = np.expm1(neg)
+    if s[-1] * h.max() < 1.0:  # every x is below 1
+        p = math.ldexp(1.0, math.frexp(h.max())[1] - 1)
+        powers = np.ones((_FAR_SERIES.size - 3, h.size + s.size))  # of -h/p, then of s p
+        powers[1:] = np.concatenate((-h / p, s * p))
+        np.multiply.accumulate(powers, out=powers)
+        far = (powers[:, :h.size].T * _FAR_SERIES[3:]) @ powers[:, h.size:]
+        for coef in _FAR_SERIES[2::-1]:
+            far *= neg
+            far += coef
+    else:  # Horner or the closed form, entry by entry
+        far, small = np.empty_like(neg), neg > -1.0
+        series, x = np.full(np.count_nonzero(small), _FAR_SERIES[-1]), neg[small]
+        for coef in _FAR_SERIES[-2::-1]:
+            series *= x
+            series += coef
+        far[small] = series
+        big = ~small
+        xb = -neg[big]
+        far[big] = (-em1[big] - xb * np.exp(-xb)) / xb**2
+    return far, np.subtract(np.divide(em1, neg, out=em1), far, out=em1)
 
 
 class _CompressedLeft:
@@ -290,15 +301,15 @@ class _CompressedLeft:
         steps = np.diff(ends[:n_far], prepend=u[0])
         for b, (N, P) in enumerate(zip(counts, carried)):
             p0 = b * B
-            h = np.diff(u[p0:p0 + B + 1])[:, None]
-            to_end = h * np.exp(-s[:P] * (ends[b] - u[p0 + 1:p0 + B + 1])[:, None])
-            far, near = _hat_moments(s[:P] * h)
+            h = np.diff(u[p0:p0 + B + 1])
+            to_end = h[:, None] * np.exp(np.multiply.outer(u[p0 + 1:p0 + B + 1] - ends[b], s[:P]))
+            far, near = _hat_moments(h, s[:P])
             self.moments.append(np.zeros((B + 1, P)))
-            self.moments[b][:B] = far * to_end
-            self.moments[b][1:] += near * to_end
+            np.multiply(far, to_end, out=self.moments[b][:B])
+            self.moments[b][1:] += np.multiply(near, to_end, out=near)
             self.decay.append(np.exp(-steps[b] * s[:P]))
-            targets = u[p0 + 2 * B + 1:p0 + 3 * B + 1, None]  # the rows of block b + 2
-            self.at_row.append(om[:N] * np.exp(-s[:N] * (targets - ends[b])))
+            at_row = np.exp(np.multiply.outer(ends[b] - u[p0 + 2 * B + 1:p0 + 3 * B + 1], s[:N]))
+            self.at_row.append(np.multiply(at_row, om[:N], out=at_row))  # the rows of block b + 2
 
     def near(self, r0: int, r1: int, c0: int, values: np.ndarray) -> np.ndarray:
         """Rows [r0, r1) of the operator on ``values`` at nodes c0, c0 + 1, ..., from the bands alone."""
@@ -380,11 +391,15 @@ def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int,
         return table.near(r0, r1, 0, values) + history.far[r0:r1]
     u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
     out = np.zeros(r1 - r0)
+    # one row buffer and scratch for all blocks: new ones faulted in fresh pages each block
+    m = min(_ROW_BLOCK, r1 - r0)
+    rows, scratch = np.empty((m, r1 + 1)), np.empty((8, m, r1))
     for a in range(r0, r1, _ROW_BLOCK):
         b = min(a + _ROW_BLOCK, r1)
         c1 = min(values.size, b + 1)  # rows below b reach node b at most
-        W = _weight_rows(u, terms, a, b, np.zeros((b - a, b + 1)))
-        out[a - r0:b - r0] = W[:, :c1] @ values[:c1]
+        W = rows[:b - a, :b + 1]
+        W.fill(0.0)
+        out[a - r0:b - r0] = _weight_rows(u, terms, a, b, W, scratch=scratch)[:, :c1] @ values[:c1]
     return out
 
 

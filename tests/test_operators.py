@@ -273,7 +273,7 @@ class TestCompressedLeftKernel:
         from hkfrac.operators import _hat_moments
 
         x = np.geomspace(1e-9, 60.0, 400)
-        far, near = _hat_moments(x)
+        far, near = (m[0] for m in _hat_moments(np.ones(1), x))
         with mpmath.workdps(40):
             for xi, got_far, got_near in zip(x, far, near):
                 X = mpmath.mpf(float(xi))
@@ -281,6 +281,58 @@ class TestCompressedLeftKernel:
                 want_near = (X - 1 + mpmath.exp(-X)) / X**2
                 assert abs(got_far - want_far) <= 4e-16 * want_far
                 assert abs(got_near - want_near) <= 4e-16 * want_near
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_hat_moments_of_a_block_match_high_precision(self, side):
+        # grading 20: a left block's columns all take the matrix product, while on
+        # the reflected nodes s h passes 1e20 and the block goes entry by entry
+        mpmath = pytest.importorskip("mpmath")
+        from hkfrac.operators import _exp_sum, _hat_moments, _left_nodes, _right_nodes
+
+        g = make_graded_grid(make_params(0.1, 0.0, 2.0, 1.0, 2.0), 4096)
+        u = _left_nodes(g) if side == "left" else _right_nodes(g)
+        h = np.diff(u[_BLOCK:2 * _BLOCK + 1])
+        s, _ = _exp_sum(0.1, float(np.min(np.diff(u[::_BLOCK]))), u[-1] - u[0])
+        if side == "left":
+            s = s[s * np.max(h) < 1.0]  # the columns a left block carries
+        x = np.multiply.outer(h, s)
+        assert s.size > 100 and (np.max(x) < 1.0 if side == "left" else np.max(x) > 1e20 > 1.0 > np.min(x))
+        far, near = _hat_moments(h, s)
+        for j in range(0, _BLOCK, 7):
+            for xi, got_far, got_near in zip(x[j], far[j], near[j]):
+                with mpmath.workdps(40 - 2 * min(0, int(math.log10(xi)))):  # x^2 cancels
+                    X = mpmath.mpf(float(xi))
+                    want_far = (1 - mpmath.exp(-X) * (1 + X)) / X**2
+                    want_near = (X - 1 + mpmath.exp(-X)) / X**2
+                    assert abs(got_far - want_far) <= 4e-16 * want_far
+                    assert abs(got_near - want_near) <= 4e-16 * want_near
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("alpha, beta, rho", [(0.5, 0.5, 2.0), (0.1, 0.0, 2.0), (0.6, 1.0, 1.0),
+                                                  (0.9, 0.5, "hadamard")])
+    def test_band_weights_match_long_double(self, alpha, beta, rho, n):
+        # the same formula in long double, where the far-panel cancellation costs 2^-64 w/h
+        from hkfrac.operators import _left_nodes, _plain_kernel, _weight_rows
+
+        u = _left_nodes(make_graded_grid(make_params(alpha, beta, rho, 1.0, 2.0), n))
+        [(coef, e)] = _plain_kernel(alpha)
+        U, e_ld = u.astype(np.longdouble), np.longdouble(e)
+        for r0 in range(0, n, _BLOCK):
+            r1, c0 = r0 + _BLOCK, max(r0 - _BLOCK, 0)
+            got = _weight_rows(u, ((coef, e),), r0, r1, np.zeros((_BLOCK, r1 - c0 + 1)), col0=c0)
+            h = U[c0 + 1:r1 + 1] - U[c0:r1]
+            past = np.arange(r0, r1)[:, None] < np.arange(c0, r1)
+            w_far = np.where(past, 1, U[r0 + 1:r1 + 1, None] - U[c0:r1])
+            rm1 = np.where(past, 0, -h / w_far)
+            with np.errstate(divide="ignore"):
+                log_q = np.log1p(rm1)
+            i0, i1 = -np.expm1(e_ld * log_q) / e_ld, -np.expm1((e_ld + 1) * log_q) / (e_ld + 1)
+            scale = np.longdouble(coef) * w_far ** (e_ld + 1) / h
+            want = np.zeros_like(got, dtype=np.longdouble)
+            want[:, :-1] += scale * (i1 - (1 + rm1) * i0)
+            want[:, 1:] += scale * (i0 - i1)
+            err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
+            assert np.max(err) <= 1e-13
 
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
