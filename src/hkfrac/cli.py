@@ -156,10 +156,9 @@ _COLUMNS = ("x", "z", "phi", "weighted_phi")
 
 
 def _columns(report) -> tuple:
-    """The arrays named by ``_COLUMNS``: nodes, solution and z^(1-gamma) phi."""
-    grid = report.grid
-    values = report.solution.values
-    return grid.nodes_x, grid.nodes_z, values, grid.nodes_z ** (1.0 - grid.params.gamma) * values
+    """The arrays named by ``_COLUMNS``: nodes, solution and its regular part z^(1-gamma) phi."""
+    grid, solution = report.grid, report.solution
+    return grid.nodes_x, grid.nodes_z, solution.values, solution.regular_values
 
 
 def _write_csv(path: Path, report) -> None:
@@ -217,6 +216,9 @@ def _cmd_solve(args) -> int:
     try:
         report = picard_solve(problem, solver_config)
         code = EXIT_OK
+    except ValidationError as exc:  # a grid the config's n and grading cannot build
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -38,8 +38,9 @@ Both sides apply their weights through one row-range apply,
 ``_kernel_rows`` (target rows [r0, r1)): the operators ask for all rows and
 the closed-form oracle for its last row alone.  A compressed apply is the
 band part ``_CompressedLeft.near`` plus the far rows of a ``_History``, the
-one code that folds moments.  The Picard solver calls both itself; its
-subintervals end within ``_band_reach``, so a sweep reads the band alone.
+one code that folds moments; both read the values from node 0.  The Picard
+solver calls both itself: its subintervals end within ``_band_reach``, so
+their far rows stay fixed, and a sweep makes one band call on its integrand.
 
 Pure-power inputs (constant regular part) bypass quadrature entirely via the
 analytic rules, which keeps identities like D^a z^(a-1) = 0 exact rather
@@ -311,25 +312,21 @@ class _CompressedLeft:
             at_row = np.exp(np.multiply.outer(ends[b] - u[p0 + 2 * B + 1:p0 + 3 * B + 1], s[:N]))
             self.at_row.append(np.multiply(at_row, om[:N], out=at_row))  # the rows of block b + 2
 
-    def near(self, r0: int, r1: int, c0: int, values: np.ndarray) -> np.ndarray:
-        """Rows [r0, r1) of the operator on ``values`` at nodes c0, c0 + 1, ..., from the bands alone."""
+    def near(self, r0: int, r1: int, values: np.ndarray) -> np.ndarray:
+        """Rows [r0, r1) of the operator on ``values`` at nodes 0, 1, ..., from the bands alone.
+
+        Row block k reads the 2 B + 1 nodes of its band from node max(k - 1, 0) B
+        on that ``values`` holds (a row below r1 reaches node r1 at most); one
+        row block returns its product uncopied.
+        """
         B = _BLOCK
-        k0, k1 = r0 // B, (r1 - 1) // B
-        c1 = c0 + values.size
-        off = max(k0 - 1, 0) * B
-        if k0 == k1 and off <= c0 and c1 <= off + 2 * B + 1:
-            # one row block and every node in its band: one slice
-            return self.band[k0][r0 - k0 * B:r1 - k0 * B, c0 - off:c1 - off] @ values
-        out = np.empty(r1 - r0)
-        for k in range(k0, k1 + 1):
-            # the band of row block k; earlier nodes are its far field, later ones past its reach
-            a, b = max(r0, k * B), min(r1, (k + 1) * B)
-            off = max(k - 1, 0) * B
-            lo = max(c0, off)
-            hi = max(lo, min(c1, off + 2 * B + 1))
-            out[a - r0:b - r0] = (self.band[k][a - k * B:b - k * B, lo - off:hi - off]
-                                  @ values[lo - c0:hi - c0])
-        return out
+        parts = [np.empty(0)]  # what an empty row range returns
+        for k in range(r0 // B, (r1 - 1) // B + 1):
+            # conditionals, not max() and min(): every Picard sweep runs this loop
+            off = (k - 1) * B if k else 0
+            w = values[off:off + 2 * B + 1]
+            parts.append(self.band[k][r0 - k * B if r0 > k * B else 0:r1 - k * B, :w.size] @ w)
+        return parts[1] if len(parts) == 2 else np.concatenate(parts)
 
 
 def _band_reach(start: int) -> int:
@@ -338,12 +335,13 @@ def _band_reach(start: int) -> int:
 
 
 class _History:
-    """The far rows ``far`` of a left ``table`` over values v frozen from node 0 on.
+    """The far rows ``far`` of a left ``table`` over values v at nodes 0, 1, ....
 
     ``advance(v, start)`` folds each block into M(k) once, and writes the far
     rows of each row block k <= start // _BLOCK + 1 once: their far panels end
-    by node start (the marching history of Jiang, Zhang, Zhang & Zhang, CiCP
-    21 (2017) 650).
+    by node start, so only v[:start + 1] must be final (the marching history
+    of Jiang, Zhang, Zhang & Zhang, CiCP 21 (2017) 650).  ``near`` on the same
+    v adds the band rows.
     """
 
     def __init__(self, table: _CompressedLeft):
@@ -388,7 +386,7 @@ def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int,
     if table is not None:
         history = _History(table)
         history.advance(values, table.n)
-        return table.near(r0, r1, 0, values) + history.far[r0:r1]
+        return table.near(r0, r1, values) + history.far[r0:r1]
     u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
     out = np.zeros(r1 - r0)
     # one row buffer and scratch for all blocks: new ones faulted in fresh pages each block

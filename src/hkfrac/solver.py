@@ -17,13 +17,13 @@ The integral operator is a contraction on a subinterval (a, x_1] once
 
 where A is a Lipschitz constant of f in its second argument; the solver
 splits (a, b] greedily into subintervals whose factors stay at the fixed
-target theta = 0.5, iterates each to tolerance in the weighted norm, freezes
-it, and folds the frozen history integral into the next subinterval's fixed
-part.  That integral is computed once per subinterval, from f at the
-converged iterates, so a sweep evaluates f and applies the weights on the
-current subinterval's nodes only.  A subinterval also ends within two
-blocks of the compressed kernel, so a sweep reads its near band alone; the
-far field comes from moments a cursor folds in once per block as they freeze.
+target theta = 0.5, iterates each to tolerance in the weighted norm, and
+freezes f at the converged iterate into one integrand array over all nodes.
+A subinterval ends within two blocks of the compressed kernel, so the far
+field of its rows holds frozen nodes only: a cursor folds their moments in
+once per block, and those far rows are part of the subinterval's fixed part.
+A sweep evaluates f on the current subinterval's nodes only, writes it into
+the integrand array, and applies the near band to that array from node 0.
 
 The map is a contraction on each subinterval, so the iteration converges
 from any start.  The first subinterval starts from the paper's phi_0; each
@@ -327,29 +327,20 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     def at(s: int, k: int) -> str:
         return f"subinterval {s + 1}, " + (f"sweep {k}" if k else "converged iterate")
 
-    def rhs_on(xs: np.ndarray, phi: np.ndarray, s: int, k: int) -> np.ndarray:
-        try:
-            return np.asarray(problem.rhs(xs, phi), dtype=float)
-        except Exception as exc:
-            raise RuntimeError(
-                f"rhs evaluation failed on {at(s, k)} (x in [{xs[0]}, {xs[-1]}]): {exc}"
-            ) from exc
-
     def refuse_nonfinite(f_vals: np.ndarray, xs: np.ndarray, s: int, k: int) -> None:
         bad = ~np.isfinite(f_vals)
         if np.any(bad):
             raise DomainError(f"rhs is not finite at x = {float(xs[np.argmax(bad)])!r} ({at(s, k)})")
 
-    start = 0
+    start, fr1 = 0, 0.0
     for s, end in enumerate(ends):
         history: list = []
         residual_history.append(history)
         xs, dn, up = x[start:end], z_pow_dn[start:end], z_pow_up[start:end]
-        # Past the first subinterval, fr1 and the frozen columns of v are fixed,
-        # so their integral is computed once.  On the first, fr1 comes from
-        # the active node 0 and the core term is added in every sweep.
-        frozen = 0.0 if s == 0 else (table.near(start, end, 0, v[:start + 1])
-                                     + cursor.far[start:end] + fr1 * core[start:end])
+        # The far rows of the frozen nodes and the core term are fixed across
+        # the sweeps (the far rows are zero on the first subinterval, whose
+        # fr1 each sweep sets); a sweep applies the band to v from node 0.
+        frozen = cursor.far[start:end] + fr1 * core[start:end]
         # the first subinterval starts from phi_0, a later one from the
         # extrapolated frozen solution
         predicted = s > 0
@@ -358,13 +349,12 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         converged = False
         k = 1
         while k <= config.max_iters:
-            f_vals = rhs_on(xs, dn * reg[start:end], s, k)
+            f_vals = np.asarray(problem.rhs(xs, dn * reg[start:end]), dtype=float)
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]
-            active = table.near(start, end, start + 1, f_vals - fr1 * dn)
-            if s == 0:
-                active += fr1 * core[:end]
-            new_reg = phi0_reg + up * (frozen + active)
+                frozen = fr1 * core[:end]
+            v[start + 1:end + 1] = f_vals - fr1 * dn
+            new_reg = phi0_reg + up * (frozen + table.near(start, end, v[:end + 1]))
             residual = float(np.abs(new_reg - reg[start:end]).max())
             if not math.isfinite(residual):
                 if k == 1 and predicted:
@@ -400,7 +390,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             )
         if end < n:
             # freeze f at the converged iterate for the later subintervals
-            f_vals = rhs_on(xs, dn * reg[start:end], s, 0)
+            f_vals = np.asarray(problem.rhs(xs, dn * reg[start:end]), dtype=float)
             refuse_nonfinite(f_vals, xs, s, 0)
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]

@@ -176,7 +176,7 @@ class TestSolveCommand:
         report = picard_solve(problem, config)
         z, phi = report.grid.nodes_z, report.solution.values
         columns = {"x": report.grid.nodes_x, "z": z, "phi": phi,
-                   "weighted_phi": z ** (1.0 - report.grid.params.gamma) * phi}
+                   "weighted_phi": report.solution.regular_values}
         rows = [",".join(format(float(v), ".17g") for v in row) for row in zip(*columns.values())]
         assert csv_out.read_text() == "\n".join(["x,z,phi,weighted_phi"] + rows) + "\n"
         got = json.loads(json_out.read_text())["columns"]
@@ -268,6 +268,17 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert "config error" in err
         assert f"key {key!r}" in err or f"{key} must satisfy" in err
+        assert not out.exists()
+
+    def test_a_grid_the_config_cannot_build_is_a_config_error(self, tmp_path, capsys):
+        # z_1 = z(b) (1/64)^400 underflows to 0, which the grid refuses
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(HOMOGENEOUS_CONFIG.replace("n = 256", "n = 64") + "grading = 400\n")
+        out = tmp_path / "o.csv"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "z > 0" in err
         assert not out.exists()
 
     def test_bad_source_expression_is_a_config_error(self, tmp_path):

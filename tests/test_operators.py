@@ -358,25 +358,18 @@ class TestCompressedLeftKernel:
             history.advance(values, n)
             return history.far
 
-        close(table.near(0, n, 0, v) + far(v), W @ v)
-        # row ranges and column splits that cross block boundaries: band and
-        # far parts of the nodes before the split and of those from it on
-        for r0, r1, split in ((0, n, n // 3), (B - 3, 2 * B + 4, B + 7), (2 * B - 1, 3 * B + 2, B - 1),
-                              (3 * B, 3 * B + 5, 2 * B), (n - 5, n, n // 2), (n - 5, n, n - 4)):
-            head, tail = v.copy(), v.copy()
-            head[split:], tail[:split] = 0.0, 0.0
-            before = table.near(r0, r1, 0, v[:split]) + far(head)[r0:r1]
-            after = table.near(r0, r1, split, v[split:r1 + 1]) + far(tail)[r0:r1]
-            close(before + after, W[r0:r1] @ v)
-            close(before, W[r0:r1, :split] @ v[:split])
+        close(table.near(0, n, v) + far(v), W @ v)
+        # row ranges that cross block boundaries, with values up to their last node
+        for r0, r1 in ((0, n), (B - 3, 2 * B + 4), (2 * B - 1, 3 * B + 2), (3 * B, 3 * B + 5),
+                       (n // 3, n // 3 + B), (n - 5, n)):
+            close(table.near(r0, r1, v[:r1 + 1]) + far(v)[r0:r1], W[r0:r1] @ v)
         # rows within the band reach of a start read every later node in their bands
         for start in (0, B - 1, B, 2 * B + 7, n - 7):
             end = min(_band_reach(start), n)
             tail = v.copy()
             tail[:start + 1] = 0.0
             assert not np.any(far(tail)[start:end])
-            close(table.near(start, end, start + 1, v[start + 1:end + 1]),
-                  W[start:end, start + 1:end + 1] @ v[start + 1:end + 1])
+            close(table.near(start, end, tail[:end + 1]), W[start:end] @ tail)
         # a call whose far values changed is not served from the call before
         r0, r1 = n - 3, n
         before = _kernel_rows(g, terms, "left", r0, r1, v)
@@ -680,6 +673,11 @@ class TestRightIntegral:
         g = make_graded_grid(make_params(0.5, 0.0, 1.0, 1.0, 2.0), 16)
         with pytest.raises(ValidationError, match=r"order must satisfy 0 < order < inf \(got"):
             gfi_right(GridFn.from_z_function(g, np.cos), order)
+
+    @pytest.mark.parametrize("order", [0.5, 1.5])
+    def test_a_one_node_grid_gives_the_empty_integral_at_b(self, order):
+        g = make_graded_grid(make_params(0.5, 0.0, 2.0, 1.0, 2.0), 1)
+        assert gfi_right(GridFn.from_z_function(g, np.cos), order).values.tolist() == [0.0]
 
     def test_order_one_gives_distance_to_b(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)

@@ -224,6 +224,16 @@ class TestPicardSolve:
         first_x = float(make_graded_grid(p, 512).nodes_x[0])
         assert f"x = {first_x!r}" in str(excinfo.value)
 
+    def test_an_rhs_exception_keeps_its_type(self):
+        # ml2 refuses arguments beyond |x| <= 50, met here past x = 1 + 50/60
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+
+        def rhs(x, phi):
+            return -phi + ml2(MLQuery(2.0, 1.0, -60.0 * (x - 1.0)))
+
+        with pytest.raises(DomainError, match=r"outside \|x\| <= 50"):
+            picard_solve(CauchyProblem(p, rhs, 1.0, lipschitz=1.0), SolverConfig(n=256))
+
     def test_overflowing_iterates_fail_at_the_first_sweep(self):
         # every rhs value is finite, but the first sweep's integral overflows
         p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
@@ -430,14 +440,14 @@ class TestFrozenHistory:
         assert f"x = {x_bad!r} (subinterval {subinterval}, sweep 1)" in str(excinfo.value)
 
     @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
-    def test_frozen_rows_of_every_subinterval_equal_the_dense_oracle(self, name, n, monkeypatch):
-        # band part plus the history's far rows, against the dense weights
+    def test_every_band_call_of_a_solve_equals_the_dense_oracle(self, name, n, monkeypatch):
+        # each sweep's band part plus the history's far rows, against the dense weights
         from hkfrac import operators
 
         problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
         grid = make_graded_grid(problem.params, n)
         W = _weight_matrix(grid, _plain_kernel(problem.params.alpha), left_sided=True)
-        cursors, checked = [], []
+        cursors, calls = [], []
 
         class Recorded(operators._History):
             def __init__(self, table):
@@ -446,21 +456,23 @@ class TestFrozenHistory:
 
         near = operators._CompressedLeft.near
 
-        def checked_near(self, r0, r1, c0, values):
-            got = near(self, r0, r1, c0, values)
-            if c0 == 0:  # the frozen part of subinterval [r0, r1)
-                [cursor] = cursors
-                assert values.size == r0 + 1
-                want = W[r0:r1, :r0 + 1] @ values
-                assert np.max(np.abs(got + cursor.far[r0:r1] - want)) <= 1e-13 * np.max(np.abs(want))
-                checked.append(r0)
+        def checked_near(self, r0, r1, values):
+            got = near(self, r0, r1, values)
+            [cursor] = cursors
+            assert values.size == r1 + 1
+            want = W[r0:r1, :r1 + 1] @ values
+            assert np.max(np.abs(got + cursor.far[r0:r1] - want)) <= 1e-13 * np.max(np.abs(want))
+            calls.append(r0)
             return got
 
         monkeypatch.setattr(solver, "_History", Recorded)
         monkeypatch.setattr(operators._CompressedLeft, "near", checked_near)
         report = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
         ends = np.searchsorted(report.grid.nodes_x, report.breakpoints, side="right")
-        assert checked == ends[:-1].tolist()  # every subinterval after the first
+        # one band call per sweep and none per subinterval
+        assert len(calls) == sum(report.iterations)
+        starts = np.concatenate(([0], ends[:-1]))
+        assert calls == np.repeat(starts, report.iterations).tolist()
         assert ends[-2] > 3 * _BLOCK  # the far field is in play
 
     @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
