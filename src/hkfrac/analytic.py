@@ -55,7 +55,7 @@ def _require_finite(spec, *names: str) -> None:
 
 @dataclass(frozen=True)
 class LinearProblemSpec:
-    """Linear Cauchy problem with constant coefficient and additive source."""
+    """Linear Cauchy problem with constant coefficient and additive source(x, z)."""
 
     params: HKParams
     lam: float
@@ -148,8 +148,8 @@ def linear_solution(spec: LinearProblemSpec, x: float) -> float:
     """Pointwise solution of the linear problem, source integral by quadrature.
 
     The source integral runs on a 2048-node mesh over [a, x] with the
-    default grading; only the weights of its last row, the target x, are
-    built.  At x = a (allowed when gamma = 1) the source integral is zero.
+    default grading, the source taken at its ``nodes_x`` and exact
+    ``nodes_z``; only the weights of its last row, the target x, are built.  At x = a (allowed when gamma = 1) the source integral is zero.
     """
     params = spec.params
     x = float(x)
@@ -158,7 +158,7 @@ def linear_solution(spec: LinearProblemSpec, x: float) -> float:
         return float(hom)
     sub = HKParams(params.alpha, params.beta, params.rho, params.a, x)
     grid = make_graded_grid(sub, 2048)
-    f = GridFn.from_x_function(grid, spec.source)
+    f = GridFn(grid, 0.0, spec.source(grid.nodes_x, grid.nodes_z))
     terms = _ml_kernel_terms(params.alpha, spec.lam, grid.nodes_z[-1])
     return float(hom + _kernel_apply_left(f, terms, r0=grid.n - 1)[0])
 

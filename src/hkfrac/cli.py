@@ -6,9 +6,9 @@
     hkfrac verify --suite NAME [--json FILE]    run a verification suite
 
 Exit codes: 0 success, 1 usage/config error or an output file that cannot
-be written, 2 domain error (including a source that is not finite somewhere
-on the grid; solve writes no output), 3 convergence failure or tolerance
-violation (solve still writes its report in that case).
+be written, 2 domain error (including a source that is not finite at some
+grid node, refused before any sweep; solve writes no output), 3 convergence
+failure or tolerance violation (solve still writes its report in that case).
 
 The problem config is a flat key = value text file; ``#`` starts a comment.
 Keys: alpha, beta, rho (number or "hadamard"), a, b, c, lambda, source
@@ -43,7 +43,7 @@ from . import verify
 from .errors import ConvergenceError, DomainError, ValidationError
 from .frame import HKParams
 from .solver import CauchyProblem, SolverConfig, picard_solve
-from .sourceexpr import _source_of_x
+from .sourceexpr import parse_source
 from .specfun import MLQuery, ml2
 
 __all__ = ["main", "console_main", "parse_config_text", "validate_config"]
@@ -130,7 +130,7 @@ def validate_config(config: dict) -> tuple:
     messages name the violated bound.
     """
     params = HKParams(config["alpha"], config["beta"], config["rho"], config["a"], config["b"])
-    source_fn = None if config["source"] is None else _source_of_x(config["source"], params)
+    source_fn = None if config["source"] is None else parse_source(config["source"]).evaluate
     if config["xi"] is not None:
         problem = CauchyProblem.power_weighted(
             params, config["lambda"], config["xi"], config["c"], source_fn

@@ -22,8 +22,9 @@ freezes f at the converged iterate into one integrand array over all nodes.
 A subinterval ends within two blocks of the compressed kernel, so the far
 field of its rows holds frozen nodes only: a cursor folds their moments in
 once per block, and those far rows are part of the subinterval's fixed part.
-A sweep evaluates f on the current subinterval's nodes only, writes it into
-the integrand array, and applies the near band to that array from node 0.
+A sweep evaluates the rhs on the current subinterval's nodes only, adds the
+source (evaluated once per solve, at the grid's exact z), writes f into the
+integrand array, and applies the near band to that array from node 0.
 
 The map is a contraction on each subinterval, so the iteration converges
 from any start.  The first subinterval starts from the paper's phi_0; each
@@ -70,20 +71,23 @@ _THETA = 0.5
 
 @dataclass(frozen=True)
 class CauchyProblem:
-    """Right-hand side f(x, phi), initial weighted value c, optional Lipschitz A.
+    """f(x, phi) = rhs(x, phi) + source(x, z), initial weighted value c, optional Lipschitz A.
 
     ``rhs`` is called with node arrays (x, phi) and must return an array of
     the same shape.  It must be pointwise, each output depending only on the
     same node's x and phi: the solver calls it only on the current
-    subinterval's nodes.  When ``lipschitz`` is absent the solver estimates it;
-    the :meth:`linear` / :meth:`power_weighted` constructors set the exact
-    constant.
+    subinterval's nodes.  The optional ``source`` is called once per solve
+    with the grid's ``nodes_x`` and exact ``nodes_z``; wrap a numpy ufunc
+    (``lambda x, z: np.cos(x)``), which would take z as its output.  When
+    ``lipschitz`` is absent the solver estimates it from ``rhs``; the
+    :meth:`linear` / :meth:`power_weighted` constructors set the exact constant.
     """
 
     params: HKParams
     rhs: Callable
     c: float
     lipschitz: Optional[float] = None
+    source: Optional[Callable] = None
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -94,30 +98,20 @@ class CauchyProblem:
 
     @classmethod
     def linear(cls, params: HKParams, lam: float, source: Optional[Callable], c: float) -> "CauchyProblem":
-        """f(x, phi) = lam * phi + source(x); the Lipschitz constant is |lam|."""
-        if source is None:
-            def rhs(x, phi):
-                return lam * phi
-        else:
-            def rhs(x, phi):
-                return lam * phi + np.asarray(source(x), dtype=float)
-        return cls(params, rhs, c, lipschitz=abs(lam))
+        """f(x, phi) = lam * phi + source(x, z); the Lipschitz constant is |lam|."""
+        def rhs(x, phi):
+            return lam * phi
+        return cls(params, rhs, c, lipschitz=abs(lam), source=source)
 
     @classmethod
     def power_weighted(cls, params: HKParams, lam: float, xi: float,
                        c: float, source: Optional[Callable] = None) -> "CauchyProblem":
-        """f(x, phi) = lam * z^xi * phi (+ source); needs xi >= 0 for a Lipschitz bound."""
+        """f(x, phi) = lam * z^xi * phi (+ source(x, z)); needs xi >= 0 for a Lipschitz bound."""
         if not xi >= 0.0:  # NaN fails too
             raise ValidationError(f"power weight must satisfy xi >= 0 for the solver (got {xi})")
-        p = params
-
-        if source is None:
-            def rhs(x, phi):
-                return lam * z_of_x(p, np.asarray(x, dtype=float)) ** xi * phi
-        else:
-            def rhs(x, phi):
-                return lam * z_of_x(p, np.asarray(x, dtype=float)) ** xi * phi + np.asarray(source(x), dtype=float)
-        return cls(params, rhs, c, lipschitz=abs(lam) * params.z_top**xi)
+        def rhs(x, phi):
+            return lam * z_of_x(params, np.asarray(x, dtype=float)) ** xi * phi
+        return cls(params, rhs, c, lipschitz=abs(lam) * params.z_top**xi, source=source)
 
 
 @dataclass(frozen=True)
@@ -268,19 +262,21 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     (the known history part of the fixed-point map).  The first subinterval
     starts from phi_0; a later one starts from the quadratic through the last
     three frozen nodes (line or constant through fewer), evaluated on its
-    nodes.  Iteration stops when the weighted norm
-    ||phi_k - phi_{k-1}||_{1-gamma} falls below ``tol``; non-convergence
-    raises :class:`ConvergenceError` carrying the partial report.  If the
-    first sweep from a predicted start has a non-finite residual (the
-    prediction left the rhs's domain), the subinterval reruns once from
-    phi_0.  Otherwise a sweep whose residual is not finite ends the solve at
-    once.  At the first sweep from phi_0 a non-finite rhs value raises
-    :class:`DomainError` naming its x, and an overflow of finite values
-    raises :class:`ConvergenceError` without a report; at a later sweep the
-    iterates have diverged, and :class:`ConvergenceError` carries the partial
-    report up to the last finite iterate.  Numpy's overflow and invalid-value
-    warnings are silenced for the whole solve, since the residual check
-    reports them.
+    nodes.  The source is evaluated once, on the grid's ``nodes_x`` and
+    ``nodes_z``, and a non-finite value raises :class:`DomainError` naming
+    its x before any sweep; each sweep adds its slice to the rhs.  Iteration
+    stops when the weighted norm ||phi_k - phi_{k-1}||_{1-gamma} falls below
+    ``tol``; non-convergence raises :class:`ConvergenceError` carrying the
+    partial report.  If the first sweep from a predicted start has a
+    non-finite residual (the prediction left the rhs's domain), the
+    subinterval reruns once from phi_0.  Otherwise a sweep whose residual is
+    not finite ends the solve at once.  At the first sweep from phi_0 a
+    non-finite rhs value raises :class:`DomainError` naming its x, and an
+    overflow of finite values raises :class:`ConvergenceError` without a
+    report; at a later sweep the iterates have diverged, and
+    :class:`ConvergenceError` carries the partial report up to the last
+    finite iterate.  Numpy's overflow and invalid-value warnings are silenced
+    for the whole solve, since the residual check reports them.
     """
     params = problem.params
     grid = make_graded_grid(params, config.n, config.grading)
@@ -289,6 +285,16 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     n = grid.n
     g = params.gamma
     alpha = params.alpha
+
+    def refuse_nonfinite(name: str, vals: np.ndarray, xs: np.ndarray, where: str) -> None:
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise DomainError(f"{name} is not finite at x = {float(xs[np.argmax(bad)])!r} ({where})")
+
+    source = None
+    if problem.source is not None:
+        source = np.broadcast_to(np.asarray(problem.source(x, z), dtype=float), (n,))
+        refuse_nonfinite("source", source, x, "before the first sweep")
 
     A = lipschitz_estimate(problem)
 
@@ -327,16 +333,16 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     def at(s: int, k: int) -> str:
         return f"subinterval {s + 1}, " + (f"sweep {k}" if k else "converged iterate")
 
-    def refuse_nonfinite(f_vals: np.ndarray, xs: np.ndarray, s: int, k: int) -> None:
-        bad = ~np.isfinite(f_vals)
-        if np.any(bad):
-            raise DomainError(f"rhs is not finite at x = {float(xs[np.argmax(bad)])!r} ({at(s, k)})")
+    def f_on(xs: np.ndarray, phi: np.ndarray, src: Optional[np.ndarray]) -> np.ndarray:
+        f_vals = np.asarray(problem.rhs(xs, phi), dtype=float)
+        return f_vals if src is None else f_vals + src
 
     start, fr1 = 0, 0.0
     for s, end in enumerate(ends):
         history: list = []
         residual_history.append(history)
         xs, dn, up = x[start:end], z_pow_dn[start:end], z_pow_up[start:end]
+        src = None if source is None else source[start:end]
         # The far rows of the frozen nodes and the core term are fixed across
         # the sweeps (the far rows are zero on the first subinterval, whose
         # fr1 each sweep sets); a sweep applies the band to v from node 0.
@@ -349,7 +355,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         converged = False
         k = 1
         while k <= config.max_iters:
-            f_vals = np.asarray(problem.rhs(xs, dn * reg[start:end]), dtype=float)
+            f_vals = f_on(xs, dn * reg[start:end], src)
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]
                 frozen = fr1 * core[:end]
@@ -364,7 +370,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
                     continue
                 if k == 1:
                     # the sweep started from phi_0: a non-finite rhs is the problem's
-                    refuse_nonfinite(f_vals, xs, s, k)
+                    refuse_nonfinite("rhs", f_vals, xs, at(s, k))
                 else:
                     iterations.append(k - 1)  # the report keeps iterate k - 1
                 raise ConvergenceError(
@@ -390,8 +396,8 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             )
         if end < n:
             # freeze f at the converged iterate for the later subintervals
-            f_vals = np.asarray(problem.rhs(xs, dn * reg[start:end]), dtype=float)
-            refuse_nonfinite(f_vals, xs, s, 0)
+            f_vals = f_on(xs, dn * reg[start:end], src)
+            refuse_nonfinite("rhs", f_vals, xs, at(s, 0))
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]
             v[start + 1:end + 1] = f_vals - fr1 * dn

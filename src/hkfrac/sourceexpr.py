@@ -8,9 +8,9 @@ Grammar (whitespace-insensitive; "^" is right-associative):
     unary  := "-"? base
     base   := number | "x" | "z" | ident "(" expr ")" | "(" expr ")"
 
-Variables: ``x`` is the independent variable; ``z`` is a convenience alias
-for the kernel coordinate z(x) and is supplied by the caller at evaluation
-time (an expression that uses z refuses an evaluation without it).
+Variables: ``x`` is the independent variable; ``z`` is the kernel
+coordinate z(x), supplied by the caller (the solver passes a grid's exact z
+to ``SourceExpr.evaluate``); an expression that uses z refuses no z.
 Functions: exp, ln, sin, cos, sqrt, abs.  A unicode minus sign is
 accepted as "-".  Parsing compiles every subexpression to a closure
 (x, z) -> value, so evaluation runs no parse tree.  Evaluation is plain
@@ -28,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import ValidationError
-from .frame import HKParams, z_of_x
 
 __all__ = [
     "SourceExpr",
@@ -205,9 +204,3 @@ def parse_source(text: str) -> SourceExpr:
     parser = _Parser(text)
     fn = parser.parse()
     return SourceExpr(fn, parser.uses_z)
-
-
-def _source_of_x(text: str, params: HKParams) -> Callable:
-    """Parse ``text`` into a source s(x), with z = z(x) supplied from ``params``."""
-    expr = parse_source(text)
-    return lambda x: expr.evaluate(x, z_of_x(params, x))

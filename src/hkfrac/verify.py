@@ -32,7 +32,7 @@ from . import analytic, solver
 from . import operators as ops
 from .errors import ConvergenceError
 from .frame import GridFn, make_graded_grid, make_params, weighted_norm, z_of_x
-from .sourceexpr import _source_of_x
+from .sourceexpr import parse_source
 from .specfun import KSQuery, MLQuery, gamma_ratio, log_gamma, ml_ks, ml2
 
 __all__ = ["SUITE_NAMES", "run_suite", "all_passed"]
@@ -226,7 +226,7 @@ def _picard_golden() -> list:
     records = []
     for entry in _load_golden().get("linear_solution", []):
         params = make_params(entry["alpha"], entry["beta"], entry["rho"], entry["a"], entry["b"])
-        source = _source_of_x(entry["source"], params)
+        source = parse_source(entry["source"]).evaluate
         spec = analytic.LinearProblemSpec(params, entry["lambda"], entry["c"], source=source)
         got = analytic.linear_solution(spec, entry["x"])
         ref = float(entry["value"])

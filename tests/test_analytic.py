@@ -65,7 +65,7 @@ class TestHomogeneousSolution:
     def test_requires_zero_source(self):
         p = make_params(0.5, 0.5, 1.0, 1.0, 2.0)
         with pytest.raises(ValidationError):
-            homogeneous_solution(LinearProblemSpec(p, 0.0, 1.0, source=lambda x: x), 1.5)
+            homogeneous_solution(LinearProblemSpec(p, 0.0, 1.0, source=lambda x, z: x), 1.5)
 
     def test_domain_validation(self):
         p = make_params(0.5, 0.5, 1.0, 1.0, 2.0)
@@ -94,7 +94,7 @@ class TestHomogeneousSolution:
         assert values[at_a].tolist() == [3.0] * 3
         assert homogeneous_solution(spec, 1.0) == values[0]
         assert values[3] == pytest.approx(3.0, rel=1e-3)  # the next node continues the limit
-        assert linear_solution(replace(spec, source=np.cos), 1.0) == values[0]
+        assert linear_solution(replace(spec, source=lambda x, z: np.cos(x)), 1.0) == values[0]
 
     def test_gamma_below_one_still_refuses_x_equal_a(self):
         p = make_params(0.3, 0.5, 2.0, 1.0, 2.0)
@@ -142,7 +142,7 @@ class TestLinearSolution:
 
     def test_lambda_zero_reduces_to_fractional_integral_of_source(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
-        spec = LinearProblemSpec(p, 0.0, 0.5, source=lambda x: np.cos(x))
+        spec = LinearProblemSpec(p, 0.0, 0.5, source=lambda x, z: np.cos(x))
         grid = make_graded_grid(p, 1024)
         j = gfi_left(GridFn.from_x_function(grid, lambda x: np.cos(x)), 0.5)
         i = 700
@@ -156,7 +156,7 @@ class TestLinearSolution:
         p = make_params(entry["alpha"], entry["beta"], entry["rho"], entry["a"], entry["b"])
         spec = LinearProblemSpec(
             p, entry["lambda"], entry["c"],
-            source=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            source=lambda x, z: np.ones_like(x),
         )
         assert linear_solution(spec, entry["x"]) == pytest.approx(
             float(entry["value"]), abs=entry["tol"]
@@ -165,7 +165,7 @@ class TestLinearSolution:
     def test_last_row_matches_the_full_apply(self):
         # linear_solution builds the weights of its target row only
         p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
-        spec = LinearProblemSpec(p, -1.0, 1.0, source=np.sin)
+        spec = LinearProblemSpec(p, -1.0, 1.0, source=lambda x, z: np.sin(x))
         tracemalloc.start()
         try:
             got = linear_solution(spec, 2.0)
@@ -181,6 +181,21 @@ class TestLinearSolution:
         assert row.shape == (1,)
         assert row[0] == pytest.approx(full[-1], rel=1e-14, abs=0.0)
         assert got == homogeneous_solution(replace(spec, source=None), 2.0) + row[0]
+
+    def test_source_is_taken_at_the_sub_grids_x_and_exact_z(self):
+        # alpha = 0.3: leading nodes of the [a, x] mesh have x = a, so z(x) = 0 there
+        p = make_params(0.3, 0.0, 2.0, 1.0, 2.0)
+        seen = []
+
+        def source(x, z):
+            seen.append((x, z))
+            return z ** -0.5
+
+        got = linear_solution(LinearProblemSpec(p, -1.0, 1.0, source=source), 1.8)
+        grid = make_graded_grid(make_params(0.3, 0.0, 2.0, 1.0, 1.8), 2048)
+        [(x, z)] = seen
+        assert np.array_equal(x, grid.nodes_x) and np.array_equal(z, grid.nodes_z)
+        assert np.any(x == p.a) and math.isfinite(got)
 
 
 class TestKernelTerms:

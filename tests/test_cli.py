@@ -38,6 +38,17 @@ source = 0
 n = 64
 """
 
+SINGULAR_SOURCE_CONFIG = """\
+alpha = 0.3
+beta = 0
+rho = 2
+a = 1
+b = 2
+c = 1
+lambda = -1
+source = z^(-0.5)
+"""
+
 
 class TestMlCommand:
     def test_exponential(self, capsys):
@@ -165,6 +176,17 @@ class TestSolveCommand:
         assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
         assert "not finite at x" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_a_source_singular_at_a_solves_on_the_grids_exact_z(self, tmp_path, n):
+        # alpha = 0.3: the leading nodes' x round to a, where z rebuilt from x is 0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(SINGULAR_SOURCE_CONFIG + f"n = {n}\n")
+        out = tmp_path / "out.csv"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table.shape == (n, 4) and np.all(np.isfinite(table))
+        assert table[0, 0] == 1.0
 
     def test_outputs_hold_the_solution_columns_to_seventeen_digits(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -38,6 +38,8 @@ def test_public_surface_is_pinned():
             if (not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
                     and obj.__module__ == module.__name__):
                 assert name in PUBLIC, f"hkfrac.{module_name}.{name}"
+    assert [f.name for f in dataclasses.fields(hkfrac.CauchyProblem)] == [
+        "params", "rhs", "c", "lipschitz", "source"]
     assert [f.name for f in dataclasses.fields(hkfrac.SolverConfig)] == [
         "n", "grading", "tol", "max_iters"]
     assert [f.name for f in dataclasses.fields(hkfrac.SolveReport)] == [

@@ -31,6 +31,10 @@ from hkfrac.solver import (
 from hkfrac.specfun import MLQuery, gamma_ratio, log_gamma, ml2
 
 
+def _cos_x(x, z):
+    return np.cos(x)
+
+
 class TestContractionFactor:
     def test_linear_in_lipschitz_constant(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
@@ -69,7 +73,7 @@ class TestSplitting:
         assert all(w < 1.0 for w in factors)
         if A < 1e-6:  # the band reach alone splits
             assert ends == list(range(2 * _BLOCK, n, 2 * _BLOCK)) + [n]
-            report = picard_solve(CauchyProblem.linear(params, -A, np.cos, 1.0), SolverConfig(n=n))
+            report = picard_solve(CauchyProblem.linear(params, -A, _cos_x, 1.0), SolverConfig(n=n))
             assert report.converged
             assert np.array_equal(report.breakpoints, grid.nodes_x[np.asarray(ends) - 1])
 
@@ -128,7 +132,7 @@ class TestPicardSolve:
 
     def test_pure_source_is_a_single_fractional_integral(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)
-        prob = CauchyProblem.linear(p, 0.0, lambda x: np.ones_like(x), 0.0)
+        prob = CauchyProblem.linear(p, 0.0, lambda x, z: np.ones_like(x), 0.0)
         report = picard_solve(prob, SolverConfig(n=512))
         assert report.solution.values[-1] == pytest.approx(2.0 / math.sqrt(math.pi), rel=1e-8)
 
@@ -143,7 +147,7 @@ class TestPicardSolve:
 
     def test_inhomogeneous_against_closed_form(self):
         p = make_params(0.6, 0.5, 1.5, 1.0, 2.0)
-        source = lambda x: np.sqrt(x)
+        source = lambda x, z: np.sqrt(x)
         prob = CauchyProblem.linear(p, -1.0, source, 1.0)
         report = picard_solve(prob, SolverConfig(n=1024, tol=1e-10))
         spec = LinearProblemSpec(p, -1.0, 1.0, source)
@@ -212,17 +216,54 @@ class TestPicardSolve:
         p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
         calls = []
 
-        def source(x):
+        def rhs(x, phi):
             calls.append(len(x))
             with np.errstate(invalid="ignore"):
-                return np.log(x - 1.5)
+                return -phi + np.log(x - 1.5)
 
-        prob = CauchyProblem.linear(p, -1.0, source, 1.0)
-        with pytest.raises(DomainError, match="not finite") as excinfo:
+        prob = CauchyProblem(p, rhs, 1.0, lipschitz=1.0)
+        with pytest.raises(DomainError, match="rhs is not finite") as excinfo:
             picard_solve(prob, SolverConfig(n=512))
         assert len(calls) == 1
         first_x = float(make_graded_grid(p, 512).nodes_x[0])
-        assert f"x = {first_x!r}" in str(excinfo.value)
+        assert f"x = {first_x!r} (subinterval 1, sweep 1)" in str(excinfo.value)
+
+    def test_the_source_is_called_once_per_solve_on_the_grids_x_and_z(self):
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        seen = []
+
+        def source(x, z):
+            seen.append((x, z))
+            return np.cos(x)
+
+        report = picard_solve(CauchyProblem.linear(p, -5.0, source, 1.0), SolverConfig(n=512))
+        assert len(report.iterations) > 100
+        [(x, z)] = seen
+        assert np.array_equal(x, report.grid.nodes_x) and np.array_equal(z, report.grid.nodes_z)
+
+    def test_constructors_keep_the_phi_term_in_rhs_and_pass_the_source(self):
+        p = make_params(0.5, 0.0, 2.0, 1.0, 2.0)
+        x, phi = np.array([1.2, 1.7]), np.array([1.0, 3.0])
+        linear = CauchyProblem.linear(p, -2.0, _cos_x, 1.0)
+        weighted = CauchyProblem.power_weighted(p, -2.0, 0.5, 1.0, _cos_x)
+        assert linear.source is _cos_x and weighted.source is _cos_x
+        assert np.array_equal(linear.rhs(x, phi), -2.0 * phi)
+        assert np.array_equal(weighted.rhs(x, phi), -2.0 * z_of_x(p, x) ** 0.5 * phi)
+
+    def test_a_bare_ufunc_source_fails_loudly_and_leaves_the_grid(self, monkeypatch):
+        # np.cos(x, z) would write cos(x) into z as its out= array
+        grids = []
+
+        def recorded(*args):
+            grids.append(make_graded_grid(*args))
+            return grids[-1]
+
+        monkeypatch.setattr(solver, "make_graded_grid", recorded)
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            picard_solve(CauchyProblem.linear(p, -1.0, np.cos, 1.0), SolverConfig(n=64))
+        [grid] = grids
+        assert np.array_equal(grid.nodes_z, make_graded_grid(p, 64).nodes_z)
 
     def test_an_rhs_exception_keeps_its_type(self):
         # ml2 refuses arguments beyond |x| <= 50, met here past x = 1 + 50/60
@@ -332,6 +373,8 @@ def _whole_history_solve(problem, n, tol, max_iters=200):
             reg[start:end] = _predicted_start(z, reg, start, end)
         for k in range(1, max_iters + 1):
             f_vals = np.asarray(problem.rhs(x[:end], dn[:end] * reg[:end]), dtype=float)
+            if problem.source is not None:
+                f_vals = f_vals + problem.source(x[:end], z[:end])
             fr1 = up[0] * f_vals[0]
             v = np.concatenate(([0.0], f_vals - fr1 * dn[:end]))
             integral = fr1 * core_shape[start:end] + W[start:end, :end + 1] @ v
@@ -397,7 +440,7 @@ class TestFrozenHistory:
         # at n = 2048 the left kernel's far field is a sum of exponentials;
         # the reference multiplies the dense weight matrix
         n, tol = 2048, 1e-10
-        problem = CauchyProblem.linear(params, -1.0, np.cos, 1.0)
+        problem = CauchyProblem.linear(params, -1.0, _cos_x, 1.0)
         report = picard_solve(problem, SolverConfig(n=n, tol=tol))
         iterations, reg = _whole_history_solve(problem, n, tol)
         grid = report.grid
@@ -427,17 +470,35 @@ class TestFrozenHistory:
     def test_nonfinite_rhs_in_a_later_subinterval_names_x_and_subinterval(self):
         p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
 
-        def source(x):
-            return np.where(x > 1.7, np.nan, np.cos(x))
+        def rhs(x, phi):
+            return -5.0 * phi + np.where(x > 1.7, np.nan, np.cos(x))
 
-        clean = picard_solve(CauchyProblem.linear(p, -5.0, np.cos, 1.0), SolverConfig(n=512))
+        clean = picard_solve(CauchyProblem.linear(p, -5.0, _cos_x, 1.0), SolverConfig(n=512))
         x = clean.grid.nodes_x
         x_bad = float(x[x > 1.7][0])
         subinterval = int(np.argmax(clean.breakpoints >= x_bad)) + 1
         assert subinterval > 1
-        with pytest.raises(DomainError, match="not finite") as excinfo:
-            picard_solve(CauchyProblem.linear(p, -5.0, source, 1.0), SolverConfig(n=512))
+        with pytest.raises(DomainError, match="rhs is not finite") as excinfo:
+            picard_solve(CauchyProblem(p, rhs, 1.0, lipschitz=5.0), SolverConfig(n=512))
         assert f"x = {x_bad!r} (subinterval {subinterval}, sweep 1)" in str(excinfo.value)
+
+    def test_nonfinite_source_is_refused_before_the_first_sweep(self):
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        sweeps = []
+
+        def rhs(x, phi):
+            sweeps.append(len(x))
+            return -5.0 * phi
+
+        def source(x, z):
+            return np.where(x > 1.7, np.nan, np.cos(x))
+
+        x = make_graded_grid(p, 512).nodes_x
+        x_bad = float(x[x > 1.7][0])
+        with pytest.raises(DomainError) as excinfo:
+            picard_solve(CauchyProblem(p, rhs, 1.0, lipschitz=5.0, source=source), SolverConfig(n=512))
+        assert str(excinfo.value) == f"source is not finite at x = {x_bad!r} (before the first sweep)"
+        assert sweeps == []
 
     @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
     def test_every_band_call_of_a_solve_equals_the_dense_oracle(self, name, n, monkeypatch):
@@ -524,7 +585,7 @@ _STIFF = {
     "caputo-lambda-15": CauchyProblem.linear(make_params(0.7, 1.0, 1.0, 1.0, 2.0), -15.0, None, 1.0),
     "manufactured-sine": _manufactured_sine_problem(),
 }
-_MILD_COS = CauchyProblem.linear(make_params(0.5, 0.5, 2.0, 1.0, 2.0), -1.0, np.cos, 1.0)
+_MILD_COS = CauchyProblem.linear(make_params(0.5, 0.5, 2.0, 1.0, 2.0), -1.0, _cos_x, 1.0)
 
 
 class TestPredictedStart:
