@@ -27,20 +27,24 @@ left-kernel apply, and no integral forms its whole weight matrix.  The
 kernel c w^(e-1) with 0 < e < 1 keeps, for each target row, the exact
 weights of the panels in its own and the previous block of _BLOCK panels,
 and the panels further back are integrated against a sum of exponentials
-whose moments carry from block to block (``_CompressedLeft``, cached on the
-grid per side and kernel).  Each row block keeps the N_k exponentials its
-distance needs, so it costs O(n N_k) time and memory instead of O(n^2): the
-median N_k is 75.5 at order 0.5 and 141 at 0.1 for n = 4096, of 140 and 532.
-Kernels of several terms (the oracle's Mittag-Leffler expansion) or with
-e >= 1 build the rows asked for in blocks of _ROW_BLOCK and keep none.
+whose moments carry from block to block (``_CompressedLeft``).  Each row
+block keeps the N_k exponentials its distance needs, so it costs O(n N_k)
+time instead of O(n^2): the median N_k is 75.5 at order 0.5 and 141 at 0.1
+for n = 4096, of 140 and 532.  Kernels of several terms (the oracle's
+Mittag-Leffler expansion) or with e >= 1 build the rows asked for in blocks
+of _ROW_BLOCK and keep none.
 
 Both sides apply their weights through one row-range apply,
 ``_kernel_rows`` (target rows [r0, r1)): the operators ask for all rows and
 the closed-form oracle for its last row alone.  A compressed apply is the
 band part ``_CompressedLeft.near`` plus the far rows of a ``_History``, the
-one code that folds moments; both read the values from node 0.  The Picard
-solver calls both itself: its subintervals end within ``_band_reach``, so
-their far rows stay fixed, and a sweep makes one band call on its integrand.
+one code that folds moments; both read the values from node 0.  The
+operators keep every block of a table, cached on the grid per side and
+kernel (``_compressed``), so O(n N_k) memory.  The Picard solver calls both
+parts itself on a table of its own that it streams (``_table``): its
+subintervals end within ``_band_reach``, so their far rows stay fixed, a
+sweep makes one band call on its integrand, and each block is built once,
+into buffers reused from block to block, when the solve reaches it.
 
 Pure-power inputs (constant regular part) bypass quadrature entirely via the
 analytic rules, which keeps identities like D^a z^(a-1) = 0 exact rather
@@ -85,6 +89,28 @@ def _snap_exponent(sigma: float) -> float:
 # Target rows per block of the weight build.  At n = 1024-4096, blocks of
 # 16-64 rows built about equally fast and blocks of 128-256 up to 2x slower.
 _ROW_BLOCK = 32
+# The weight brackets go by their series in rm1 where |rm1| max(e, 1) is below
+# _SERIES_CUT: _SERIES_TERMS terms leave 2e-16 of the sum, and above the cut
+# the closed form's cancellation costs at most about 6e-14 of an entry.  A
+# cut below 1/128 leaves most blocks far from a without series entries; 5e-3
+# cost 1e-13 per entry.
+_SERIES_CUT = 7e-3
+_SERIES_TERMS = 7
+
+
+@lru_cache(maxsize=64)
+def _bracket_series(e: float, coef: float) -> np.ndarray:
+    """coef a_(K+1), ..., coef a_2 with em1/(e + 1) - em/e = sum_k a_k rm1^k, K = _SERIES_TERMS.
+
+    em = (1 + rm1)^e - 1 and em1 = (1 + rm1)^(e+1) - 1 expand binomially, and
+    a_k = C(e, k - 1)/k - C(e, k)/e = C(e, k - 1) (k - 1)/(k e), a_2 = 1/2:
+    no coefficient cancels.  Highest first, for Horner.
+    """
+    j = np.arange(1.0, _SERIES_TERMS + 1.0)  # k - 1
+    binom = np.cumprod((e - j + 1.0) / j)  # C(e, j)
+    a = (binom * j * coef / ((j + 1.0) * e))[::-1]
+    a.setflags(write=False)  # cached: shared by every caller
+    return a
 
 
 def _weight_rows(u: np.ndarray, terms: KernelTerms, r0: int, r1: int, out: np.ndarray,
@@ -99,11 +125,17 @@ def _weight_rows(u: np.ndarray, terms: KernelTerms, r0: int, r1: int, out: np.nd
     near node and S ((1 + rm1) em/e - em1/(e + 1)) on the far one, S = c
     w_far^e w_far/h (w_far^(e+1) would round e + 1): stable when w_near ~
     w_far, exact on the panel ending at t (rm1 = em = em1 = -1), and zero past
-    it (j > i, rm1 set to 0).  Eight arrays hold the work: views of
-    ``scratch`` (8, >= r1 - r0, >= r1 - col0) from a caller that builds many
-    blocks, else new ones (64 KB each for a band block, below glibc's mmap
-    threshold, which one 512 KB array raised for good).  The rows are added
-    into ``out``, whose column c is node col0 + c, col0 <= r0.
+    it (j > i, rm1 set to 0).  Both brackets are O(rm1^2) differences of
+    O(rm1) terms, so where |rm1| max(e, 1) < _SERIES_CUT (panels much shorter
+    than their distance, as near a on a steep grading, where rm1 reaches
+    1e-54) the near one is ``_bracket_series`` by Horner and the far one
+    rm1 em/e less it.  On graded nodes those entries lead each row, and the
+    last row has the most: the series runs over the entries gathered from
+    its leading columns.  Eight arrays hold the work: views
+    of ``scratch`` (8, >= r1 - r0, >= r1 - col0) from a caller that builds
+    many blocks, else new ones (64 KB each for a band block, below glibc's
+    mmap threshold, which one 512 KB array raised for good).  The rows are
+    added into ``out``, whose column c is node col0 + c, col0 <= r0.
     """
     lo, hi, m = col0, r1, r1 - r0  # the panels j <= i of any row in the range
     h = u[lo + 1:hi + 1] - u[lo:hi]
@@ -118,14 +150,35 @@ def _weight_rows(u: np.ndarray, terms: KernelTerms, r0: int, r1: int, out: np.nd
         np.log1p(rm1, out=log_q)  # -inf on the panel ending at the target
     np.add(rm1, 1.0, out=q)
     to_far, to_near = out[:, lo - col0:hi - col0], out[:, lo + 1 - col0:hi + 1 - col0]
+    cut = None
     for coef, e in terms:
         np.expm1(np.multiply(log_q, e, out=em), out=em)
         np.add(np.multiply(em, q, out=em1), rm1, out=em1)
         np.multiply(np.multiply(np.power(w_far, e, out=scale), w_far, out=scale), 1.0 / h, out=scale)
         em1 *= coef / (e + 1.0)
         em *= coef / e
-        to_far += np.multiply(np.subtract(np.multiply(em, q, out=tmp), em1, out=tmp), scale, out=tmp)
-        to_near += np.multiply(np.subtract(em1, em, out=tmp), scale, out=tmp)
+        np.subtract(np.multiply(em, q, out=tmp), em1, out=tmp)  # the far bracket
+        np.subtract(em1, em, out=em1)  # the near bracket
+        if cut != _SERIES_CUT / max(e, 1.0):
+            cut = _SERIES_CUT / max(e, 1.0)
+            # the last row's leading entries: the longest run of them on graded nodes
+            p = int(np.count_nonzero(rm1[-1] > -cut))
+            if p:
+                small = rm1[:, :p] > -cut
+                x = rm1[:, :p][small]
+        if p:
+            a = _bracket_series(e, coef)
+            near = np.multiply(x, a[0])
+            near += a[1]
+            for c in a[2:]:
+                near *= x
+                near += c
+            near *= x
+            near *= x
+            em1[:, :p][small] = near
+            tmp[:, :p][small] = np.subtract(np.multiply(x, em[:, :p][small]), near, out=near)
+        to_far += np.multiply(tmp, scale, out=tmp)
+        to_near += np.multiply(em1, scale, out=em1)
     return out
 
 
@@ -269,48 +322,137 @@ class _CompressedLeft:
     <= k-2 lie at least delta_k, the length of block k-1, from the row, so it
     keeps the N_k nodes with s delta_k <= _EXP_CUT (sized per cluster as in
     McLean, SISC 34 (2012) A3039).  Its far integral is a_i @ M(k)[:N_k], with
-    a_i = om exp(-s (z_i - E_(k-2))) row i - k B of ``at_row[k]``, E_b the
-    node ending block b, and M(k) the moments of the linear interpolant
-    against exp(-s (E_(k-2) - u)) over blocks <= k-2: M(k) = decay[k-2]
-    M(k-1) + moments[k-2] @ v, where ``moments[b]`` maps block b's B + 1 node
-    values to their moments referred to E_b and decay[b] = exp(-s (E_b -
-    E_(b-1))).  Every factor is exp(-s d), d >= 0.  M(k), ``moments[k-2]``
-    and ``decay[k-2]`` have the P_k = max_(k' >= k) N_k' columns that later
-    rows read: N_k on the left nodes, graded toward a, and all on the
-    reflected right ones.  The table keeps no values: ``near`` applies the
-    band, and a ``_History`` marches M(k) over values frozen from node 0 on.
-    Tables are one array per block: n-row tables of 4-5 MB at n = 4096 landed
-    in whatever heap hole the last solve left, and moved peak RSS by 2.7 MB.
+    a_i = om exp(-s (z_i - E_(k-2))) row i - k B of far block k-2's
+    ``at_row``, E_b the node ending block b, and M(k) the moments of the
+    linear interpolant against exp(-s (E_(k-2) - u)) over blocks <= k-2:
+    M(k) = decay M(k-1) + moments @ v, where far block b = k-2's ``moments``
+    map its B + 1 node values to their moments referred to E_b and its
+    ``decay`` is exp(-s (E_b - E_(b-1))).  Every factor is exp(-s d), d >= 0.
+    M(k) and far block k-2 have the P_k = max_(k' >= k) N_k' columns that
+    later rows read: N_k on the left nodes, graded toward a, and all on the
+    reflected right ones.
+
+    Construction sizes the table (block ends, the sum of exponentials, N_k,
+    P_k and the decay steps) and builds no block; ``build_band`` writes one
+    band block into an array its caller passes, and ``build_far`` one far
+    block into three (or new ones).  The table keeps no values: ``near``
+    applies the band, and a ``_History`` marches M(k) over values frozen
+    from node 0 on, reading far block b from ``far_block(b)``.  A table is
+    then kept or streamed:
+
+    * ``keep`` builds every block into arrays of its own, which the grid
+      caches per side and kernel for the operators (``_compressed``).  They
+      are one array per block: n-row tables of 4-5 MB at n = 4096 landed in
+      whatever heap hole the last solve left, and moved peak RSS by 2.7 MB.
+    * ``stream`` gives a Picard solve, which reads each block only while it
+      is at that block, buffers that it reuses: ``reach`` builds the two band
+      blocks of a subinterval's rows into two of them, and ``far_block``
+      each far block into a third as the history folds it.  The solve's
+      table then takes O(B P_2) memory instead of O(n (B + N_k)): 6 MB of
+      RSS in place of 175 MB at n = 65536.  The band builds share one work
+      space too: fresh temporaries for each block, freed at the top of the
+      heap, were handed back to the kernel and faulted in again, 50000 page
+      faults per round of 15 solves.
     """
 
     def __init__(self, u: np.ndarray, terms: KernelTerms, exp_sum):
         B = _BLOCK
-        n = u.size - 1
-        self.band = [_weight_rows(u, terms, r0, min(r0 + B, n),
-                                  np.zeros((min(r0 + B, n) - r0, 2 * B + 1)), col0=max(r0 - B, 0))
-                     for r0 in range(0, n, B)]
-        self.n, self.at_row, self.decay, self.moments, self.width = n, [None, None], [], [], 0
-        n_far = -(-n // B) - 2  # blocks that are far from some row
+        self.u, self.terms, self.n = u, terms, u.size - 1
+        self.blocks = -(-self.n // B)
+        self.band = [None] * self.blocks  # each row block's, while built
+        self.moments = self.decay = self.at_row = None  # the lists of a kept table
+        self.width, self.counts, self.carried = 0, [], []
+        n_far = self.blocks - 2  # blocks that are far from some row
         if n_far < 1:
             return
-        ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
-        lengths = np.diff(ends)  # delta_k of row blocks k = 2 .. n_far + 1
-        s, om = exp_sum(float(np.min(lengths)))
-        counts = np.searchsorted(s, _EXP_CUT / lengths, side="right")  # N_k
+        self.ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
+        lengths = np.diff(self.ends)  # delta_k of row blocks k = 2 .. n_far + 1
+        self.s, self.om = exp_sum(float(np.min(lengths)))
+        counts = np.searchsorted(self.s, _EXP_CUT / lengths, side="right")  # N_k
         carried = np.maximum.accumulate(counts[::-1])[::-1]  # P_k
-        self.width = carried[0]
-        steps = np.diff(ends[:n_far], prepend=u[0])
-        for b, (N, P) in enumerate(zip(counts, carried)):
-            p0 = b * B
-            h = np.diff(u[p0:p0 + B + 1])
-            to_end = h[:, None] * np.exp(np.multiply.outer(u[p0 + 1:p0 + B + 1] - ends[b], s[:P]))
-            far, near = _hat_moments(h, s[:P])
-            self.moments.append(np.zeros((B + 1, P)))
-            np.multiply(far, to_end, out=self.moments[b][:B])
-            self.moments[b][1:] += np.multiply(near, to_end, out=near)
-            self.decay.append(np.exp(-steps[b] * s[:P]))
-            at_row = np.exp(np.multiply.outer(ends[b] - u[p0 + 2 * B + 1:p0 + 3 * B + 1], s[:N]))
-            self.at_row.append(np.multiply(at_row, om[:N], out=at_row))  # the rows of block b + 2
+        self.counts, self.carried, self.width = counts.tolist(), carried.tolist(), int(carried[0])
+        self.steps = np.diff(self.ends[:n_far], prepend=u[0])
+
+    def _rows(self, k: int) -> int:
+        """The rows of row block k."""
+        return min(_BLOCK, self.n - k * _BLOCK)
+
+    def build_band(self, k: int, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+        """Band block k into ``out``, zero and (rows of block k, 2 B + 1): the weights are added to it.
+
+        ``scratch`` is ``_weight_rows``' work space, (8, B, 2 B) or None.
+        """
+        r0 = k * _BLOCK
+        return _weight_rows(self.u, self.terms, r0, r0 + out.shape[0], out, col0=max(r0 - _BLOCK, 0),
+                            scratch=scratch)
+
+    def build_far(self, b: int, out: tuple | None = None) -> tuple:
+        """Far block b: ``moments`` (B + 1, P), ``decay`` (P) and ``at_row`` (rows of block b + 2, N).
+
+        P and N are P_(b+2) and N_(b+2).  Every entry of ``out``, three
+        arrays of those shapes, is written; without ``out`` they are new,
+        made while the block's temporaries are live.  Made before them, a
+        kept table's arrays left the temporaries at the top of the heap, where
+        glibc handed them back and the next block faulted them in again: 9600
+        page faults and 1.6x the time of a cold n = 4096 build.
+        """
+        B, u, s, end = _BLOCK, self.u, self.s, self.ends[b]
+        p0, P, N = b * B, self.carried[b], self.counts[b]
+        h = np.diff(u[p0:p0 + B + 1])
+        to_end = h[:, None] * np.exp(np.multiply.outer(u[p0 + 1:p0 + B + 1] - end, s[:P]))
+        far, near = _hat_moments(h, s[:P])
+        moments, decay, at_row = out or (np.empty((B + 1, P)), np.empty(P), np.empty((self._rows(b + 2), N)))
+        np.multiply(far, to_end, out=moments[:B])
+        moments[B] = 0.0
+        moments[1:] += np.multiply(near, to_end, out=near)
+        np.exp(-self.steps[b] * s[:P], out=decay)
+        np.multiply.outer(end - u[p0 + 2 * B + 1:p0 + 2 * B + 1 + at_row.shape[0]], s[:N], out=at_row)
+        np.multiply(np.exp(at_row, out=at_row), self.om[:N], out=at_row)  # the rows of block b + 2
+        return moments, decay, at_row
+
+    def keep(self) -> "_CompressedLeft":
+        """Build every block into arrays of its own; returns the table."""
+        B = _BLOCK
+        self.band = [self.build_band(k, np.zeros((self._rows(k), 2 * B + 1))) for k in range(self.blocks)]
+        self.moments, self.decay, self.at_row = [], [], [None, None]
+        for b in range(len(self.counts)):
+            moments, decay, at_row = self.build_far(b)
+            self.moments.append(moments)
+            self.decay.append(decay)
+            self.at_row.append(at_row)
+        return self
+
+    def stream(self) -> "_CompressedLeft":
+        """Give the table its reused buffers, for ``reach`` and ``far_block``; returns the table."""
+        B = _BLOCK
+        self._bands, self._held = np.empty((2, B, 2 * B + 1)), [None, None]
+        self._scratch = np.empty((8, B, 2 * B))
+        self._far = (np.empty((B + 1) * self.width), np.empty(self.width), np.empty(B * self.width))
+        return self
+
+    def reach(self, start: int) -> None:
+        """Build the band blocks of rows [start, _band_reach(start)) that are missing.
+
+        On a streamed table row block k goes into band buffer k % 2, and the
+        block it held before leaves ``band``.  A kept table has every block.
+        """
+        for k in range(start // _BLOCK, min(start // _BLOCK + 2, self.blocks)):
+            if self.band[k] is None:
+                held = self._held[k % 2]
+                if held is not None:
+                    self.band[held] = None
+                out = self._bands[k % 2, :self._rows(k)]
+                out.fill(0.0)
+                self.band[k], self._held[k % 2] = self.build_band(k, out, self._scratch), k
+
+    def far_block(self, b: int) -> tuple:
+        """(moments, decay, at_row) of far block b: a kept table's arrays, else built into the far buffer."""
+        if self.moments is not None:
+            return self.moments[b], self.decay[b], self.at_row[b + 2]
+        B, P, N = _BLOCK, self.carried[b], self.counts[b]
+        moments, decay, at_row = self._far
+        return self.build_far(b, (moments[:(B + 1) * P].reshape(B + 1, P), decay[:P],
+                                  at_row[:self._rows(b + 2) * N].reshape(-1, N)))
 
     def near(self, r0: int, r1: int, values: np.ndarray) -> np.ndarray:
         """Rows [r0, r1) of the operator on ``values`` at nodes 0, 1, ..., from the bands alone.
@@ -350,26 +492,30 @@ class _History:
 
     def advance(self, v: np.ndarray, start: int) -> None:
         B, table = _BLOCK, self.table
-        for k in range(self.k, min(start // B + 2, len(table.band))):
-            self._fold(k - 2, v)
-            at_row = table.at_row[k]
+        for k in range(self.k, min(start // B + 2, table.blocks)):
+            # M(k) from M(k - 1) and far block k - 2, then the far rows of block k
+            moments, decay, at_row = table.far_block(k - 2)
+            self.M = decay * self.M[:decay.size] + v[(k - 2) * B:(k - 1) * B + 1] @ moments
             self.far[k * B:(k + 1) * B] = at_row @ self.M[:at_row.shape[1]]
             self.k = k + 1
 
-    def _fold(self, b: int, v: np.ndarray) -> None:
-        """M(b + 2) from M(b + 1) and the values v at nodes 0, 1, ...."""
-        decay = self.table.decay[b]
-        self.M = decay * self.M[:decay.size] + v[b * _BLOCK:(b + 1) * _BLOCK + 1] @ self.table.moments[b]
+
+def _table(grid: Grid, terms: KernelTerms, side: str) -> _CompressedLeft | None:
+    """One side's table of a kernel c w^(e-1), 0 < e < 1, with no block built; None for any other kernel."""
+    if len(terms) != 1 or not 0.0 < terms[0][1] < 1.0:
+        return None
+    u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
+    [(coef, e)] = terms
+    return _CompressedLeft(u, terms, lambda delta: _exp_sum(e, delta, u[-1] - u[0], coef))
 
 
 def _compressed(grid: Grid, terms: KernelTerms, side: str) -> _CompressedLeft | None:
-    """The grid's tables of one side's kernel, built on first use; None unless it is c w^(e-1), 0 < e < 1."""
+    """The grid's kept table of one side's kernel, built on first use; None where ``_table`` is."""
     table = grid._cache.get((side, terms))
-    if table is None and len(terms) == 1 and 0.0 < terms[0][1] < 1.0:
-        u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
-        [(coef, e)] = terms
-        table = grid._cache[(side, terms)] = _CompressedLeft(
-            u, terms, lambda delta: _exp_sum(e, delta, u[-1] - u[0], coef))
+    if table is None:
+        table = _table(grid, terms, side)
+        if table is not None:
+            grid._cache[(side, terms)] = table.keep()
     return table
 
 

@@ -108,6 +108,18 @@ def run_power_rule() -> list:
                 records.append(_record("power-rule",
                                        f"right alpha={alpha} rho={rho} xi={xi} accuracy n=512",
                                        err, 1e-4))
+    # data z^(alpha-1) (1 + z^alpha) at small orders, node by node: its values
+    # span 1e54 on the default grading, so every weight must be accurate to
+    # its own size (the sup-norm error above read 2.6e-7 when nodes near a
+    # were off by 1e10)
+    for alpha, tol in ((0.1, 5e-4), (0.15, 5e-5)):
+        grid = make_graded_grid(make_params(alpha, 0.0, 2.0, 1.0, 2.0), 1024)
+        z = grid.nodes_z
+        num = ops.gfi_left(GridFn(grid, alpha - 1.0, 1.0 + z**alpha), alpha).values
+        exact = gamma_ratio(alpha, 2.0 * alpha) * z ** (2.0 * alpha - 1.0) \
+            + gamma_ratio(2.0 * alpha, 3.0 * alpha) * z ** (3.0 * alpha - 1.0)
+        err = float(np.max(np.abs(num - exact) / exact))
+        records.append(_record("power-rule", f"singular data alpha={alpha} n=1024 pointwise", err, tol))
     return records
 
 
@@ -192,6 +204,19 @@ def _picard_closed_form() -> list:
                     _record("picard", f"{tag} geometric decay",
                             _geometric_certificate(report), 1.0)
                 )
+    # small orders at beta = 0, grading 2/alpha: panels 1e-60 long near a,
+    # where the near-band weights once cancelled to every digit (gaps to 1e8)
+    for alpha in (0.1, 0.15):
+        for lam in (-0.5, 0.5):
+            params = make_params(alpha, 0.0, 2.0, 1.0, 2.0)
+            problem = solver.CauchyProblem.linear(params, lam, None, 1.0)
+            report = solver.picard_solve(problem, solver.SolverConfig(n=1024, tol=1e-10))
+            z = report.grid.nodes_z
+            exact_reg = ml2(MLQuery(alpha, alpha, lam * z**alpha))
+            gap = float(np.max(np.abs(report.solution.regular_values - exact_reg)))
+            tag = f"alpha={alpha} beta=0 rho=2 lambda={lam} n=1024"
+            records.append(_record("picard", f"{tag} closed-form gap", gap, 1e-4))
+            records.append(_record("picard", f"{tag} geometric decay", _geometric_certificate(report), 1.0))
     return records
 
 

@@ -49,6 +49,18 @@ lambda = -1
 source = z^(-0.5)
 """
 
+SMALL_ORDER_CONFIG = """\
+alpha = 0.1
+beta = 0
+rho = 2
+a = 1
+b = 2
+c = 1
+lambda = -0.5
+source = 0
+n = 1024
+"""
+
 
 class TestMlCommand:
     def test_exponential(self, capsys):
@@ -187,6 +199,33 @@ class TestSolveCommand:
         table = np.loadtxt(out, delimiter=",", skiprows=1)
         assert table.shape == (n, 4) and np.all(np.isfinite(table))
         assert table[0, 0] == 1.0
+
+    def test_a_small_order_solve_meets_its_closed_form(self, tmp_path):
+        # alpha = 0.1, beta = 0: the near-band weights of the tiny panels near
+        # a lost every digit, and this solve converged to phi(2) = -1730.8
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(SMALL_ORDER_CONFIG)
+        out = tmp_path / "out.csv"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        x, _, phi, _ = np.loadtxt(out, delimiter=",", skiprows=1)[-1]
+        exact = homogeneous_solution(LinearProblemSpec(make_params(0.1, 0.0, 2.0, 1.0, 2.0), -0.5, 1.0), 2.0)
+        assert x == 2.0 and abs(exact - 0.0306379) <= 1e-7
+        assert abs(phi - exact) <= 1e-5
+
+    def test_a_usage_error_between_two_solves_leaves_the_shared_parser_working(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(FREE_TERM_CONFIG)
+        out = tmp_path / "out.csv"
+        argv = ["solve", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv) == 0
+        first = out.read_text()
+        out.unlink()
+        built = cli._build_parser.cache_info().misses
+        assert cli.main(["solve", "--config", str(cfg)]) == 1  # no --out
+        assert "the following arguments are required: --out" in capsys.readouterr().err
+        assert cli.main(argv) == 0
+        assert out.read_text() == first
+        assert cli._build_parser.cache_info().misses == built  # built once, at the first call
 
     def test_outputs_hold_the_solution_columns_to_seventeen_digits(self, tmp_path):
         cfg = tmp_path / "cfg.txt"

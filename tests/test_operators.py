@@ -49,6 +49,29 @@ def singular_panel_integral(target, p, q, fn, e, points=80):
     return 0.5 * (s_hi - s_lo) * np.sum(ws * fn(target - s ** (1.0 / e))) / e
 
 
+def mp_weight_row(u, coef, e, i, col0, digits=250):
+    """Row i's product-integration weights over panels col0..i in mpmath, at nodes col0..i+1.
+
+    The panel integrals of w^(e-1) times the two hat pieces, in closed form
+    at ``digits`` digits from the double nodes: panels 1e-60 long at 1e-24
+    from the target cancel 108 digits, so 60 digits are not enough.
+    """
+    import mpmath
+
+    with mpmath.workdps(digits):
+        U = [mpmath.mpf(float(v)) for v in u[col0:i + 2]]
+        E, C = mpmath.mpf(float(e)), mpmath.mpf(float(coef))
+        out = [mpmath.mpf(0)] * len(U)
+        for j in range(len(U) - 1):
+            far, near = U[-1] - U[j], U[-1] - U[j + 1]
+            pe = far**E - (near**E if near > 0 else 0)
+            pe1 = far ** (E + 1) - (near ** (E + 1) if near > 0 else 0)
+            h = U[j + 1] - U[j]
+            out[j + 1] += C * (far * pe / E - pe1 / (E + 1)) / h
+            out[j] += C * (pe1 / (E + 1) - near * pe / E) / h
+        return np.array([float(v) for v in out])
+
+
 def cold_apply_within(op, order, peak_bytes, alpha=0.5):
     """op(f, order) on a fresh n = 4096 grid, whose dense weight matrix alone is 134 MB.
 
@@ -333,6 +356,27 @@ class TestCompressedLeftKernel:
             want[:, 1:] += scale * (i0 - i1)
             err = np.max(np.abs(got - want), axis=1) / np.max(np.abs(want), axis=1)
             assert np.max(err) <= 1e-13
+
+    def test_band_and_dense_weights_match_mpmath_entry_by_entry(self):
+        # alpha = 0.1, beta = 0, grading 20: panels 1e-60 long lie 1e-24 to 1
+        # from their targets, where both brackets, differences of O(rm1)
+        # terms, lost every digit (errors of 4e9 to 2e38 of an entry), which
+        # an error relative to the row's largest weight does not show
+        from hkfrac.operators import _compressed, _left_nodes, _plain_kernel, _weight_matrix
+
+        n = 1024
+        g = make_graded_grid(make_params(0.1, 0.0, 2.0, 1.0, 2.0), n)
+        u = _left_nodes(g)
+        [(coef, e)] = terms = _plain_kernel(0.1)
+        band = _compressed(g, terms, "left").band
+        dense = _weight_matrix(g, terms, left_sided=True)
+        for i in (64, 95, 127, 960, 991, 1023):  # row blocks 1 and 15
+            k = i // _BLOCK
+            col0 = (k - 1) * _BLOCK
+            for got, want in ((dense[i, :i + 2], mp_weight_row(u, coef, e, i, 0)),
+                              (band[k][i - k * _BLOCK, :i + 2 - col0], mp_weight_row(u, coef, e, i, col0))):
+                assert np.all(want > 0.0)
+                assert np.max(np.abs(got - want) / want) <= 1e-13
 
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
@@ -644,6 +688,18 @@ class TestLeftIntegral:
             exact = gamma_ratio(xi, alpha + xi) * g.nodes_z ** (alpha + xi - 1.0)
             errs.append(np.max(np.abs(num - exact)) / np.max(np.abs(exact)))
         assert errs[0] / errs[1] >= 2.0**1.5
+
+    @pytest.mark.parametrize("alpha, bound", [(0.1, 5e-4), (0.15, 5e-5)])
+    def test_small_order_power_rule_on_singular_data_node_by_node(self, alpha, bound):
+        # z^(alpha-1) (1 + z^alpha) on the default grading 2/alpha: its values
+        # span 1e54, and the near-band weights of the tiny panels near a,
+        # accurate only relative to each row's largest, missed by 9.5e9
+        # (alpha = 0.1) and 1.2e-2 (alpha = 0.15); 2.0e-4 and 1.8e-5 now
+        g = make_graded_grid(make_params(alpha, 0.0, 2.0, 1.0, 2.0), 1024)
+        z = g.nodes_z
+        got = gfi_left(GridFn(g, alpha - 1.0, 1.0 + z**alpha), alpha).values
+        want = rl_power(alpha, alpha, z) + rl_power(2.0 * alpha, alpha, z)
+        assert np.max(np.abs(got - want) / want) <= bound
 
     def test_validation(self):
         p = make_params(0.5, 0.0, 1.0, 1.0, 2.0)

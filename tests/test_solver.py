@@ -502,7 +502,8 @@ class TestFrozenHistory:
 
     @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
     def test_every_band_call_of_a_solve_equals_the_dense_oracle(self, name, n, monkeypatch):
-        # each sweep's band part plus the history's far rows, against the dense weights
+        # each sweep's band part plus the history's far rows, against the dense
+        # weights, through the solver's own streamed table
         from hkfrac import operators
 
         problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
@@ -520,6 +521,7 @@ class TestFrozenHistory:
         def checked_near(self, r0, r1, values):
             got = near(self, r0, r1, values)
             [cursor] = cursors
+            assert self is cursor.table and self.moments is None  # streamed, not kept
             assert values.size == r1 + 1
             want = W[r0:r1, :r1 + 1] @ values
             assert np.max(np.abs(got + cursor.far[r0:r1] - want)) <= 1e-13 * np.max(np.abs(want))
@@ -540,19 +542,73 @@ class TestFrozenHistory:
     def test_a_solve_folds_each_far_block_once(self, name, n, monkeypatch):
         from hkfrac import operators
 
-        fold = operators._History._fold
-        folded = []
+        far_block = operators._CompressedLeft.far_block
+        tables, folded = [], []
 
-        def counted(self, b, v):
+        def counted(self, b):
+            tables.append(self)
             folded.append(b)
-            fold(self, b, v)
+            return far_block(self, b)
 
-        monkeypatch.setattr(operators._History, "_fold", counted)
+        monkeypatch.setattr(operators._CompressedLeft, "far_block", counted)
+        problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
+        picard_solve(problem, SolverConfig(n=n, tol=1e-10))
+        table = tables[0]
+        assert all(t is table for t in tables)
+        assert len(table.counts) == -(-n // _BLOCK) - 2
+        assert folded == list(range(len(table.counts)))
+
+    @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
+    def test_a_solve_builds_each_block_once_and_keeps_no_table(self, name, n, monkeypatch):
+        from hkfrac import operators
+
+        built = {"band": [], "far": []}
+        build_band, build_far = operators._CompressedLeft.build_band, operators._CompressedLeft.build_far
+
+        def band(self, k, out, *scratch):
+            built["band"].append(k)
+            return build_band(self, k, out, *scratch)
+
+        def far(self, b, *arrays):
+            built["far"].append(b)
+            return build_far(self, b, *arrays)
+
+        monkeypatch.setattr(operators._CompressedLeft, "build_band", band)
+        monkeypatch.setattr(operators._CompressedLeft, "build_far", far)
         problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
         report = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
-        [table] = report.grid._cache.values()
-        assert len(table.decay) == -(-n // _BLOCK) - 2
-        assert folded == list(range(len(table.decay)))
+        blocks = -(-n // _BLOCK)
+        assert built == {"band": list(range(blocks)), "far": list(range(blocks - 2))}
+        assert not report.grid._cache
+
+    @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
+    def test_the_streamed_solve_equals_the_solve_through_a_kept_table(self, name, n, monkeypatch):
+        from hkfrac import operators
+
+        problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
+        streamed = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
+        # every block built at once, into arrays of its own, as the grid keeps them
+        monkeypatch.setattr(solver, "_table", operators._compressed)
+        kept = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
+        [table] = kept.grid._cache.values()
+        assert table.moments is not None and all(block is not None for block in table.band)
+        assert np.array_equal(streamed.solution.regular_values, kept.solution.regular_values)
+        assert streamed.iterations == kept.iterations
+        assert streamed.residual_history == kept.residual_history
+
+    def test_a_large_solve_holds_no_table(self):
+        # n = 16384: the whole table took 40.7 MB of tracemalloc peak and the
+        # streamed solve 2.1-2.4 MB
+        import tracemalloc
+
+        problem = CauchyProblem.linear(make_params(0.5, 0.5, 2.0, 1.0, 2.0), -1.0, None, 1.0)
+        tracemalloc.start()
+        try:
+            picard_solve(problem, SolverConfig(n=16384, tol=1e-10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 def _phi0_start(z, reg, start, end):
