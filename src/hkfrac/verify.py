@@ -110,8 +110,8 @@ def run_power_rule() -> list:
                                        err, 1e-4))
     # data z^(alpha-1) (1 + z^alpha) at small orders, node by node: its values
     # span 1e54 on the default grading, so every weight must be accurate to
-    # its own size (the sup-norm error above read 2.6e-7 when nodes near a
-    # were off by 1e10)
+    # its own size, and a sup-norm error reads 2.6e-7 even with nodes near a
+    # off by 1e10
     for alpha, tol in ((0.1, 5e-4), (0.15, 5e-5)):
         grid = make_graded_grid(make_params(alpha, 0.0, 2.0, 1.0, 2.0), 1024)
         z = grid.nodes_z
@@ -205,7 +205,7 @@ def _picard_closed_form() -> list:
                             _geometric_certificate(report), 1.0)
                 )
     # small orders at beta = 0, grading 2/alpha: panels 1e-60 long near a,
-    # where the near-band weights once cancelled to every digit (gaps to 1e8)
+    # where closed-form near-band weights cancel to every digit (gaps of 1e8)
     for alpha in (0.1, 0.15):
         for lam in (-0.5, 0.5):
             params = make_params(alpha, 0.0, 2.0, 1.0, 2.0)

@@ -201,8 +201,9 @@ class TestSolveCommand:
         assert table[0, 0] == 1.0
 
     def test_a_small_order_solve_meets_its_closed_form(self, tmp_path):
-        # alpha = 0.1, beta = 0: the near-band weights of the tiny panels near
-        # a lost every digit, and this solve converged to phi(2) = -1730.8
+        # alpha = 0.1, beta = 0: with near-band weights that cancel to every
+        # digit on the tiny panels near a, this solve converges to phi(2) =
+        # -1730.8
         cfg = tmp_path / "cfg.txt"
         cfg.write_text(SMALL_ORDER_CONFIG)
         out = tmp_path / "out.csv"

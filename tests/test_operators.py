@@ -359,9 +359,9 @@ class TestCompressedLeftKernel:
 
     def test_band_and_dense_weights_match_mpmath_entry_by_entry(self):
         # alpha = 0.1, beta = 0, grading 20: panels 1e-60 long lie 1e-24 to 1
-        # from their targets, where both brackets, differences of O(rm1)
-        # terms, lost every digit (errors of 4e9 to 2e38 of an entry), which
-        # an error relative to the row's largest weight does not show
+        # from their targets, where the closed-form brackets, differences of
+        # O(rm1) terms, cancel to every digit (errors of 4e9 to 3e38 of an
+        # entry), which an error relative to the row's largest weight hides
         from hkfrac.operators import _compressed, _left_nodes, _plain_kernel, _weight_matrix
 
         n = 1024
@@ -692,9 +692,9 @@ class TestLeftIntegral:
     @pytest.mark.parametrize("alpha, bound", [(0.1, 5e-4), (0.15, 5e-5)])
     def test_small_order_power_rule_on_singular_data_node_by_node(self, alpha, bound):
         # z^(alpha-1) (1 + z^alpha) on the default grading 2/alpha: its values
-        # span 1e54, and the near-band weights of the tiny panels near a,
-        # accurate only relative to each row's largest, missed by 9.5e9
-        # (alpha = 0.1) and 1.2e-2 (alpha = 0.15); 2.0e-4 and 1.8e-5 now
+        # span 1e54, so weights accurate only relative to each row's largest
+        # miss by 9.5e9 (alpha = 0.1) and 1.2e-2 (alpha = 0.15); accurate
+        # ones by 2.0e-4 and 1.8e-5
         g = make_graded_grid(make_params(alpha, 0.0, 2.0, 1.0, 2.0), 1024)
         z = g.nodes_z
         got = gfi_left(GridFn(g, alpha - 1.0, 1.0 + z**alpha), alpha).values
