@@ -38,13 +38,13 @@ Both sides apply their weights through one row-range apply,
 ``_kernel_rows`` (target rows [r0, r1)): the operators ask for all rows and
 the closed-form oracle for its last row alone.  A compressed apply is the
 band part ``_CompressedLeft.near`` plus the far rows of a ``_History``, the
-one code that folds moments; both read the values from node 0.  The
-operators keep every block of a table, cached on the grid per side and
-kernel (``_compressed``), so O(n N_k) memory.  The Picard solver calls both
-parts itself on a table of its own that it streams (``_table``): its
-subintervals end within ``_band_reach``, so their far rows stay fixed, a
-sweep makes one band call on its integrand, and each block is built once,
-into buffers reused from block to block, when the solve reaches it.
+one code that folds moments; both read the values from node 0.  A table
+builds each block when a walk first needs it.  The operators' table, cached
+on the grid per side and kernel (``_compressed``), keeps every block, so
+O(n N_k) memory.  The Picard solver calls both parts itself on a table of
+its own (``_table``) that keeps a band block until the solve has passed it
+and no far block: its subintervals end within ``_band_reach``, so their far
+rows stay fixed, and a sweep makes one band call on its integrand.
 
 Pure-power inputs (constant regular part) bypass quadrature entirely via the
 analytic rules, which keeps identities like D^a z^(a-1) = 0 exact rather
@@ -114,7 +114,7 @@ def _bracket_series(e: float, coef: float) -> np.ndarray:
 
 
 def _weight_rows(u: np.ndarray, terms: KernelTerms, r0: int, r1: int, out: np.ndarray,
-                 col0: int = 0, scratch: np.ndarray | None = None) -> np.ndarray:
+                 scratch: np.ndarray, col0: int = 0) -> np.ndarray:
     """Rows [r0, r1), at most _BLOCK, of the left product-integration weights for sum_c c * w^(e-1).
 
     Row i integrates over [u_0, u_(i+1)] against node values at u_0, u_1, ...;
@@ -131,16 +131,16 @@ def _weight_rows(u: np.ndarray, terms: KernelTerms, r0: int, r1: int, out: np.nd
     1e-54) the near one is ``_bracket_series`` by Horner and the far one
     rm1 em/e less it.  On graded nodes those entries lead each row, and the
     last row has the most: the series runs over the entries gathered from
-    its leading columns.  Eight arrays hold the work: views
-    of ``scratch`` (8, >= r1 - r0, >= r1 - col0) from a caller that builds
-    many blocks, else new ones (64 KB each for a band block, below glibc's
-    mmap threshold, which one 512 KB array raised for good).  The rows are
-    added into ``out``, whose column c is node col0 + c, col0 <= r0.
+    its leading columns.  Eight contiguous arrays hold the work, the first
+    8 (r1 - r0)(r1 - col0) entries of ``scratch``, a contiguous array that a
+    caller building many blocks reuses (strided views of a wider one took
+    1.7x as long on a band's first block).  The rows are added into
+    ``out``, whose column c is node col0 + c, col0 <= r0.
     """
     lo, hi, m = col0, r1, r1 - r0  # the panels j <= i of any row in the range
     h = u[lo + 1:hi + 1] - u[lo:hi]
-    w_far, rm1, log_q, q, em, em1, scale, tmp = (
-        (np.empty((m, hi - lo)) for _ in range(8)) if scratch is None else scratch[:, :m, :hi - lo])
+    work = scratch.reshape(-1)[:8 * m * (hi - lo)].reshape(8, m, hi - lo)
+    w_far, rm1, log_q, q, em, em1, scale, tmp = work
     np.subtract(u[r0 + 1:r1 + 1, None], u[lo:hi], out=w_far)
     past = _PAST[:m, :m]
     np.copyto(w_far[:, r0 - lo:], 1.0, where=past)
@@ -207,7 +207,7 @@ def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarr
     n = u.size - 1
     W, scratch = np.zeros((n, n + 1)), np.empty((8, _ROW_BLOCK, n))
     for r0 in range(0, n, _ROW_BLOCK):
-        _weight_rows(u, terms, r0, min(r0 + _ROW_BLOCK, n), W[r0:r0 + _ROW_BLOCK], scratch=scratch)
+        _weight_rows(u, terms, r0, min(r0 + _ROW_BLOCK, n), W[r0:r0 + _ROW_BLOCK], scratch)
     if left_sided:
         return W
     mirrored = np.zeros((grid.n, grid.n))
@@ -333,36 +333,27 @@ class _CompressedLeft:
     reflected right ones.
 
     Construction sizes the table (block ends, the sum of exponentials, N_k,
-    P_k and the decay steps) and builds no block; ``build_band`` writes one
-    band block into an array its caller passes, and ``build_far`` one far
-    block into three (or new ones).  The table keeps no values: ``near``
-    applies the band, and a ``_History`` marches M(k) over values frozen
-    from node 0 on, reading far block b from ``far_block(b)``.  A table is
-    then kept or streamed:
-
-    * ``keep`` builds every block into arrays of its own, which the grid
-      caches per side and kernel for the operators (``_compressed``).  They
-      are one array per block: n-row tables of 4-5 MB at n = 4096 landed in
-      whatever heap hole the last solve left, and moved peak RSS by 2.7 MB.
-    * ``stream`` gives a Picard solve, which reads each block only while it
-      is at that block, buffers that it reuses: ``reach`` builds the two band
-      blocks of a subinterval's rows into two of them, and ``far_block``
-      each far block into a third as the history folds it.  The solve's
-      table then takes O(B P_2) memory instead of O(n (B + N_k)): 6 MB of
-      RSS in place of 175 MB at n = 65536.  The band builds share one work
-      space too: fresh temporaries for each block, freed at the top of the
-      heap, were handed back to the kernel and faulted in again, 50000 page
-      faults per round of 15 solves.
+    P_k and the decay steps) and builds no block.  A walk builds each block
+    the first time it needs it, each kind in one method: ``reach`` the band
+    blocks of a start's rows, ``far_block`` a far block as a ``_History``
+    folds it.  ``near`` applies the band.  Each block is an array of its own
+    (n-row tables of 4-5 MB at n = 4096 landed in whatever heap hole the last
+    solve left, and moved peak RSS by 2.7 MB).  What a table holds is fixed
+    when it is made: a ``kept`` one, cached on the grid for the operators
+    (``_compressed``), every block it has built; the Picard solver's own,
+    each band block until its walk has passed it and no far block, so
+    O(B P_2) memory instead of O(n (B + N_k)), 6 MB of RSS in place of 175 MB
+    at n = 65536.
     """
 
-    def __init__(self, u: np.ndarray, terms: KernelTerms, exp_sum):
+    def __init__(self, u: np.ndarray, terms: KernelTerms, exp_sum, kept: bool):
         B = _BLOCK
-        self.u, self.terms, self.n = u, terms, u.size - 1
+        self.u, self.terms, self.n, self.kept = u, terms, u.size - 1, kept
         self.blocks = -(-self.n // B)
-        self.band = [None] * self.blocks  # each row block's, while built
-        self.moments = self.decay = self.at_row = None  # the lists of a kept table
+        self.band = [None] * self.blocks  # each row block's, while held
         self.width, self.counts, self.carried = 0, [], []
         n_far = self.blocks - 2  # blocks that are far from some row
+        self.far = [None] * max(n_far, 0)  # each far block's, while held
         if n_far < 1:
             return
         self.ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
@@ -373,86 +364,49 @@ class _CompressedLeft:
         self.counts, self.carried, self.width = counts.tolist(), carried.tolist(), int(carried[0])
         self.steps = np.diff(self.ends[:n_far], prepend=u[0])
 
-    def _rows(self, k: int) -> int:
-        """The rows of row block k."""
-        return min(_BLOCK, self.n - k * _BLOCK)
+    def reach(self, start: int, scratch: np.ndarray) -> None:
+        """Build the band blocks of rows [start, _band_reach(start)) that are missing.
 
-    def build_band(self, k: int, out: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
-        """Band block k into ``out``, zero and (rows of block k, 2 B + 1): the weights are added to it.
-
-        ``scratch`` is ``_weight_rows``' work space, (8, B, 2 B) or None.
+        ``scratch`` (8, B, 2 B) is ``_weight_rows``' work space.  A table not
+        kept drops the blocks its walk has passed, the two before row start's:
+        a walk's starts lie within ``_band_reach`` of each other.
         """
-        r0 = k * _BLOCK
-        return _weight_rows(self.u, self.terms, r0, r0 + out.shape[0], out, col0=max(r0 - _BLOCK, 0),
-                            scratch=scratch)
+        B, k0 = _BLOCK, start // _BLOCK
+        if not self.kept:
+            for k in range(max(k0 - 2, 0), k0):
+                self.band[k] = None
+        for k in range(k0, min(k0 + 2, self.blocks)):
+            if self.band[k] is None:
+                r0, r1 = k * B, min(k * B + B, self.n)
+                self.band[k] = _weight_rows(self.u, self.terms, r0, r1, np.zeros((r1 - r0, 2 * B + 1)),
+                                            scratch, col0=max(r0 - B, 0))
 
-    def build_far(self, b: int, out: tuple | None = None) -> tuple:
+    def far_block(self, b: int) -> tuple:
         """Far block b: ``moments`` (B + 1, P), ``decay`` (P) and ``at_row`` (rows of block b + 2, N).
 
-        P and N are P_(b+2) and N_(b+2).  Every entry of ``out``, three
-        arrays of those shapes, is written; without ``out`` they are new,
-        made while the block's temporaries are live.  Made before them, a
-        kept table's arrays left the temporaries at the top of the heap, where
-        glibc handed them back and the next block faulted them in again: 9600
-        page faults and 1.6x the time of a cold n = 4096 build.
+        P and N are P_(b+2) and N_(b+2); built on first use, held if kept.
+        Made before the temporaries, a kept table's arrays left them at the
+        top of the heap, where glibc handed them back and the next block
+        faulted them in again: 9600 page faults and 1.6x the time of a cold
+        n = 4096 build.
         """
+        if self.far[b] is not None:
+            return self.far[b]
         B, u, s, end = _BLOCK, self.u, self.s, self.ends[b]
         p0, P, N = b * B, self.carried[b], self.counts[b]
         h = np.diff(u[p0:p0 + B + 1])
         to_end = h[:, None] * np.exp(np.multiply.outer(u[p0 + 1:p0 + B + 1] - end, s[:P]))
         far, near = _hat_moments(h, s[:P])
-        moments, decay, at_row = out or (np.empty((B + 1, P)), np.empty(P), np.empty((self._rows(b + 2), N)))
+        moments = np.empty((B + 1, P))
         np.multiply(far, to_end, out=moments[:B])
         moments[B] = 0.0
         moments[1:] += np.multiply(near, to_end, out=near)
-        np.exp(-self.steps[b] * s[:P], out=decay)
-        np.multiply.outer(end - u[p0 + 2 * B + 1:p0 + 2 * B + 1 + at_row.shape[0]], s[:N], out=at_row)
+        decay = np.exp(-self.steps[b] * s[:P])
+        at_row = np.multiply.outer(end - u[p0 + 2 * B + 1:p0 + 3 * B + 1], s[:N])
         np.multiply(np.exp(at_row, out=at_row), self.om[:N], out=at_row)  # the rows of block b + 2
+        if self.kept:
+            self.far[b] = moments, decay, at_row
         return moments, decay, at_row
-
-    def keep(self) -> "_CompressedLeft":
-        """Build every block into arrays of its own; returns the table."""
-        B = _BLOCK
-        self.band = [self.build_band(k, np.zeros((self._rows(k), 2 * B + 1))) for k in range(self.blocks)]
-        self.moments, self.decay, self.at_row = [], [], [None, None]
-        for b in range(len(self.counts)):
-            moments, decay, at_row = self.build_far(b)
-            self.moments.append(moments)
-            self.decay.append(decay)
-            self.at_row.append(at_row)
-        return self
-
-    def stream(self) -> "_CompressedLeft":
-        """Give the table its reused buffers, for ``reach`` and ``far_block``; returns the table."""
-        B = _BLOCK
-        self._bands, self._held = np.empty((2, B, 2 * B + 1)), [None, None]
-        self._scratch = np.empty((8, B, 2 * B))
-        self._far = (np.empty((B + 1) * self.width), np.empty(self.width), np.empty(B * self.width))
-        return self
-
-    def reach(self, start: int) -> None:
-        """Build the band blocks of rows [start, _band_reach(start)) that are missing.
-
-        On a streamed table row block k goes into band buffer k % 2, and the
-        block it held before leaves ``band``.  A kept table has every block.
-        """
-        for k in range(start // _BLOCK, min(start // _BLOCK + 2, self.blocks)):
-            if self.band[k] is None:
-                held = self._held[k % 2]
-                if held is not None:
-                    self.band[held] = None
-                out = self._bands[k % 2, :self._rows(k)]
-                out.fill(0.0)
-                self.band[k], self._held[k % 2] = self.build_band(k, out, self._scratch), k
-
-    def far_block(self, b: int) -> tuple:
-        """(moments, decay, at_row) of far block b: a kept table's arrays, else built into the far buffer."""
-        if self.moments is not None:
-            return self.moments[b], self.decay[b], self.at_row[b + 2]
-        B, P, N = _BLOCK, self.carried[b], self.counts[b]
-        moments, decay, at_row = self._far
-        return self.build_far(b, (moments[:(B + 1) * P].reshape(B + 1, P), decay[:P],
-                                  at_row[:self._rows(b + 2) * N].reshape(-1, N)))
 
     def near(self, r0: int, r1: int, values: np.ndarray) -> np.ndarray:
         """Rows [r0, r1) of the operator on ``values`` at nodes 0, 1, ..., from the bands alone.
@@ -479,19 +433,24 @@ def _band_reach(start: int) -> int:
 class _History:
     """The far rows ``far`` of a left ``table`` over values v at nodes 0, 1, ....
 
-    ``advance(v, start)`` folds each block into M(k) once, and writes the far
-    rows of each row block k <= start // _BLOCK + 1 once: their far panels end
-    by node start, so only v[:start + 1] must be final (the marching history
-    of Jiang, Zhang, Zhang & Zhang, CiCP 21 (2017) 650).  ``near`` on the same
-    v adds the band rows.
+    ``advance(v, start)`` has the table ``reach`` start, then folds each
+    far block into M(k) once and writes the far rows of each row block k <=
+    start // _BLOCK + 1 once: their far panels end by node start, so only
+    v[:start + 1] must be final (the marching history of Jiang, Zhang, Zhang
+    & Zhang, CiCP 21 (2017) 650).  ``near`` on the same v adds the band rows.
+    The walk's band builds share ``scratch``: fresh temporaries per block,
+    freed at the top of the heap, were handed back to the kernel and faulted
+    in again, 50000 page faults per round of 15 solves.
     """
 
     def __init__(self, table: _CompressedLeft):
         self.table = table
         self.k, self.M, self.far = 2, np.zeros(table.width), np.zeros(table.n)
+        self.scratch = np.empty((8, _BLOCK, 2 * _BLOCK))
 
     def advance(self, v: np.ndarray, start: int) -> None:
         B, table = _BLOCK, self.table
+        table.reach(start, self.scratch)
         for k in range(self.k, min(start // B + 2, table.blocks)):
             # M(k) from M(k - 1) and far block k - 2, then the far rows of block k
             moments, decay, at_row = table.far_block(k - 2)
@@ -500,22 +459,22 @@ class _History:
             self.k = k + 1
 
 
-def _table(grid: Grid, terms: KernelTerms, side: str) -> _CompressedLeft | None:
+def _table(grid: Grid, terms: KernelTerms, side: str, kept: bool) -> _CompressedLeft | None:
     """One side's table of a kernel c w^(e-1), 0 < e < 1, with no block built; None for any other kernel."""
     if len(terms) != 1 or not 0.0 < terms[0][1] < 1.0:
         return None
     u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
     [(coef, e)] = terms
-    return _CompressedLeft(u, terms, lambda delta: _exp_sum(e, delta, u[-1] - u[0], coef))
+    return _CompressedLeft(u, terms, lambda delta: _exp_sum(e, delta, u[-1] - u[0], coef), kept)
 
 
 def _compressed(grid: Grid, terms: KernelTerms, side: str) -> _CompressedLeft | None:
-    """The grid's kept table of one side's kernel, built on first use; None where ``_table`` is."""
+    """The grid's kept table of one side's kernel, made on first use; None where ``_table`` is."""
     table = grid._cache.get((side, terms))
     if table is None:
-        table = _table(grid, terms, side)
+        table = _table(grid, terms, side, kept=True)
         if table is not None:
-            grid._cache[(side, terms)] = table.keep()
+            grid._cache[(side, terms)] = table
     return table
 
 
@@ -525,11 +484,18 @@ def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int,
 
     The nodes are ``_left_nodes`` on the left and the reflected
     ``_right_nodes`` on the right.  A kernel with ``_compressed`` tables goes
-    through them; others build the rows in blocks of _ROW_BLOCK, each over
-    the nodes its rows reach, and keep nothing.
+    through them, building the blocks they miss before the fold (building as
+    it folded cost 5%); others build the rows in blocks of _ROW_BLOCK, each
+    over the nodes its rows reach, and keep nothing.
     """
     table = _compressed(grid, terms, side)
     if table is not None:
+        scratch = np.empty((8, _BLOCK, 2 * _BLOCK))
+        for start in range(0, table.n, 2 * _BLOCK):
+            table.reach(start, scratch)
+        del scratch  # free for the far blocks' temporaries
+        for b in range(len(table.far)):
+            table.far_block(b)
         history = _History(table)
         history.advance(values, table.n)
         return table.near(r0, r1, values) + history.far[r0:r1]
@@ -543,7 +509,7 @@ def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int,
         c1 = min(values.size, b + 1)  # rows below b reach node b at most
         W = rows[:b - a, :b + 1]
         W.fill(0.0)
-        out[a - r0:b - r0] = _weight_rows(u, terms, a, b, W, scratch=scratch)[:, :c1] @ values[:c1]
+        out[a - r0:b - r0] = _weight_rows(u, terms, a, b, W, scratch)[:, :c1] @ values[:c1]
     return out
 
 
@@ -660,7 +626,9 @@ def hk_derivative(f: GridFn) -> GridFn:
 
     Composed literally as J^(beta(1-alpha)) . delta_rho . J^((1-beta)(1-alpha));
     for beta = 0 this runs exactly the same operations as
-    ``gfd(f, alpha)`` and for beta = 1 it is the Caputo-type operator.
+    ``gfd(f, alpha)`` and for beta = 1 it is the Caputo-type operator.  Its
+    stencils divide by the tiny first panels' dz, so a 1-ulp change in its
+    inner integrals moves it by 1e-13 to 7e-12 normwise at n = 197-2048.
     """
     params = f.grid.params
     o_inner = (1.0 - params.beta) * (1.0 - params.alpha)

@@ -22,11 +22,11 @@ freezes f at the converged iterate into one integrand array over all nodes.
 A subinterval ends within two blocks of the compressed kernel, so the far
 field of its rows holds frozen nodes only: a cursor folds their moments in
 once per block, and those far rows are part of the subinterval's fixed part.
-The solver streams a table of its own, which no grid keeps: a band block is
-built when the first subinterval whose rows it holds starts, a far block
-when the cursor folds it, each once and into buffers reused from block to
-block, so a solve's memory does not grow with n times the band and the
-exponentials (6 MB of RSS at n = 65536, where the whole table took 175 MB).
+The cursor walks a table of its own, which no grid keeps: a band block is
+built when the first subinterval whose rows it holds starts and dropped once
+the solve has passed it, a far block is built when folded and not kept, so
+a solve's memory does not grow with n times the band and the exponentials
+(6 MB of RSS at n = 65536, where the whole table took 175 MB).
 A sweep evaluates the rhs on the current subinterval's nodes only, adds the
 source (evaluated once per solve, at the grid's exact z), writes f into the
 integrand array, and applies the near band to that array from node 0.
@@ -327,7 +327,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         raise
 
     terms = _plain_kernel(alpha)
-    table = _table(grid, terms, "left").stream()  # its own, kept by no grid
+    table = _table(grid, terms, "left", kept=False)  # its own, kept by no grid
     cursor = _History(table)  # the far rows of the frozen columns of v
     core = _core_convolution(terms, g - 1.0, z)  # the integral of z^(gamma-1)
     z_pow_up = z ** (1.0 - g)   # maps values to the weighted (regular) scale
@@ -344,7 +344,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
 
     start, fr1 = 0, 0.0
     for s, end in enumerate(ends):
-        table.reach(start)  # the band blocks of this subinterval's rows
+        cursor.advance(v, start)  # this subinterval's band blocks, and its far rows
         history: list = []
         residual_history.append(history)
         xs, dn, up = x[start:end], z_pow_dn[start:end], z_pow_up[start:end]
@@ -407,7 +407,6 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]
             v[start + 1:end + 1] = f_vals - fr1 * dn
-            cursor.advance(v, end)
         start = end
 
     return partial_report(True)

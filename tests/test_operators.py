@@ -72,6 +72,21 @@ def mp_weight_row(u, coef, e, i, col0, digits=250):
         return np.array([float(v) for v in out])
 
 
+def weight_rows(u, terms, r0, r1, out, col0=0):
+    """``_weight_rows`` with a work space of its own."""
+    from hkfrac.operators import _weight_rows
+
+    return _weight_rows(u, terms, r0, r1, out, np.empty((8, r1 - r0, r1 - col0)), col0)
+
+
+def walked_table(grid, terms, side):
+    """The grid's kept table of one side's kernel after an apply, which builds every block."""
+    from hkfrac.operators import _compressed, _kernel_rows
+
+    _kernel_rows(grid, terms, side, 0, grid.n, np.zeros(grid.n + 1))
+    return _compressed(grid, terms, side)
+
+
 def cold_apply_within(op, order, peak_bytes, alpha=0.5):
     """op(f, order) on a fresh n = 4096 grid, whose dense weight matrix alone is 134 MB.
 
@@ -211,19 +226,19 @@ class TestBlockedWeightBuild:
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_row_ranges_built_alone_equal_the_matrix_rows(self, side):
-        from hkfrac.operators import _ROW_BLOCK, _left_nodes, _right_nodes, _weight_rows
+        from hkfrac.operators import _ROW_BLOCK, _left_nodes, _right_nodes
 
         g, terms, W = self._fresh_weights(side, "ml")
         n = g.n
         for r0, r1 in ((0, 1), (_ROW_BLOCK - 3, _ROW_BLOCK + 4), (n - 1, n)):
             rows = np.zeros((r1 - r0, W.shape[1]))
             if side == "left":
-                _weight_rows(_left_nodes(g), terms, r0, r1, rows)
+                weight_rows(_left_nodes(g), terms, r0, r1, rows)
             elif r0 < n - 1:
                 # right row i is reflected row n - 2 - i; the row at b stays empty
                 r1 = min(r1, n - 1)
-                reflected = _weight_rows(_right_nodes(g), terms, n - 1 - r1, n - 1 - r0,
-                                         np.zeros((r1 - r0, n)))
+                reflected = weight_rows(_right_nodes(g), terms, n - 1 - r1, n - 1 - r0,
+                                        np.zeros((r1 - r0, n)))
                 rows[:r1 - r0] = reflected[::-1, ::-1]
             assert np.array_equal(rows, W[r0:r0 + rows.shape[0]])
 
@@ -335,14 +350,14 @@ class TestCompressedLeftKernel:
                                                   (0.9, 0.5, "hadamard")])
     def test_band_weights_match_long_double(self, alpha, beta, rho, n):
         # the same formula in long double, where the far-panel cancellation costs 2^-64 w/h
-        from hkfrac.operators import _left_nodes, _plain_kernel, _weight_rows
+        from hkfrac.operators import _left_nodes, _plain_kernel
 
         u = _left_nodes(make_graded_grid(make_params(alpha, beta, rho, 1.0, 2.0), n))
         [(coef, e)] = _plain_kernel(alpha)
         U, e_ld = u.astype(np.longdouble), np.longdouble(e)
         for r0 in range(0, n, _BLOCK):
             r1, c0 = r0 + _BLOCK, max(r0 - _BLOCK, 0)
-            got = _weight_rows(u, ((coef, e),), r0, r1, np.zeros((_BLOCK, r1 - c0 + 1)), col0=c0)
+            got = weight_rows(u, ((coef, e),), r0, r1, np.zeros((_BLOCK, r1 - c0 + 1)), col0=c0)
             h = U[c0 + 1:r1 + 1] - U[c0:r1]
             past = np.arange(r0, r1)[:, None] < np.arange(c0, r1)
             w_far = np.where(past, 1, U[r0 + 1:r1 + 1, None] - U[c0:r1])
@@ -362,13 +377,13 @@ class TestCompressedLeftKernel:
         # from their targets, where the closed-form brackets, differences of
         # O(rm1) terms, cancel to every digit (errors of 4e9 to 3e38 of an
         # entry), which an error relative to the row's largest weight hides
-        from hkfrac.operators import _compressed, _left_nodes, _plain_kernel, _weight_matrix
+        from hkfrac.operators import _left_nodes, _plain_kernel, _weight_matrix
 
         n = 1024
         g = make_graded_grid(make_params(0.1, 0.0, 2.0, 1.0, 2.0), n)
         u = _left_nodes(g)
         [(coef, e)] = terms = _plain_kernel(0.1)
-        band = _compressed(g, terms, "left").band
+        band = walked_table(g, terms, "left").band
         dense = _weight_matrix(g, terms, left_sided=True)
         for i in (64, 95, 127, 960, 991, 1023):  # row blocks 1 and 15
             k = i // _BLOCK
@@ -382,7 +397,7 @@ class TestCompressedLeftKernel:
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
     def test_row_ranges_match_the_dense_oracle(self, family, n):
         from hkfrac.operators import (
-            _band_reach, _compressed, _History, _kernel_rows, _plain_kernel, _weight_matrix,
+            _band_reach, _History, _kernel_rows, _plain_kernel, _weight_matrix,
         )
 
         B = _BLOCK
@@ -391,7 +406,7 @@ class TestCompressedLeftKernel:
         terms = _plain_kernel(p.alpha)
         W = _weight_matrix(g, terms, left_sided=True)
         v = np.concatenate(([0.0], np.cos(3.0 * g.nodes_z) + np.sin(40.0 * g.nodes_z)))
-        table = _compressed(g, terms, "left")
+        table = walked_table(g, terms, "left")
 
         def close(got, want):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -442,19 +457,19 @@ class TestCompressedLeftKernel:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_each_row_block_keeps_the_exponentials_its_distance_needs(self):
-        from hkfrac.operators import _EXP_CUT, _compressed, _exp_sum, _left_nodes, _plain_kernel, _right_nodes
+        from hkfrac.operators import _EXP_CUT, _exp_sum, _left_nodes, _plain_kernel, _right_nodes
 
         B, e = _BLOCK, 0.1
         g = make_graded_grid(make_params(e, 0.0, 2.0, 1.0, 2.0), 2048)
         for side, u in (("left", _left_nodes(g)), ("right", _right_nodes(g))):
-            table = _compressed(g, _plain_kernel(e), side)
-            lengths = np.diff(u[B::B][:len(table.moments) + 1])  # of blocks 1, 2, ...
+            moments, decay, at_row = zip(*walked_table(g, _plain_kernel(e), side).far)
+            lengths = np.diff(u[B::B][:len(moments) + 1])  # of blocks 1, 2, ...
             s, _ = _exp_sum(e, float(lengths.min()), u[-1] - u[0])
-            counts = [block.shape[1] for block in table.at_row[2:]]  # N_k of row blocks 2, 3, ...
+            counts = [block.shape[1] for block in at_row]  # N_k of row blocks 2, 3, ...
             assert counts == np.searchsorted(s, _EXP_CUT / lengths, side="right").tolist()
             carried = [max(counts[b:]) for b in range(len(counts))]
-            assert [m.shape for m in table.moments] == [(B + 1, P) for P in carried]
-            assert [d.size for d in table.decay] == carried
+            assert [m.shape for m in moments] == [(B + 1, P) for P in carried]
+            assert [d.size for d in decay] == carried
             if side == "left":  # blocks grow away from a
                 assert counts == sorted(counts, reverse=True) and 3 * counts[-1] < counts[0]
             else:
@@ -471,8 +486,39 @@ class TestCompressedLeftKernel:
         [table] = g._cache.values()
         row_counts = [B, B, B, 5]
         assert [block.shape[0] for block in table.band] == row_counts
-        assert table.at_row[:2] == [None, None]
-        assert [block.shape[0] for block in table.at_row[2:]] == row_counts[2:]
+        # far block b holds the exponentials of row block b + 2
+        assert [at_row.shape[0] for _, _, at_row in table.far] == row_counts[2:]
+
+    def test_an_apply_reuses_the_blocks_its_grid_keeps(self, monkeypatch):
+        # reconstruct at order 0.5 applies J^0.5 twice, inside D^0.5 and on
+        # its result: a table that kept no blocks would build each one twice
+        from hkfrac import operators
+
+        built = {"band": [], "far": []}
+        weight_rows, far_block = operators._weight_rows, operators._CompressedLeft.far_block
+
+        def band(u, terms, r0, *args, **kwargs):
+            built["band"].append(r0 // _BLOCK)
+            return weight_rows(u, terms, r0, *args, **kwargs)
+
+        def far(self, b):
+            if self.far[b] is None:
+                built["far"].append(b)
+            return far_block(self, b)
+
+        monkeypatch.setattr(operators, "_weight_rows", band)
+        monkeypatch.setattr(operators._CompressedLeft, "far_block", far)
+        n = 1000
+        g = make_graded_grid(make_params(0.5, 0.0, 2.0, 1.0, 2.0), n)
+        z = g.nodes_z
+        reconstruct(GridFn(g, -0.5, 0.8 + z**1.5), 0.5)
+        blocks = -(-n // _BLOCK)
+        assert list(g._cache) == [("left", operators._plain_kernel(0.5))]
+        assert sorted(built["band"]) == list(range(blocks))
+        assert sorted(built["far"]) == list(range(blocks - 2))
+        built = {"band": [], "far": []}
+        gfi_left(GridFn(g, 0.0, np.cos(z)), 0.5)
+        assert built == {"band": [], "far": []}
 
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
@@ -497,12 +543,12 @@ class TestCompressedLeftKernel:
 
     def test_cold_apply_at_order_0_1_sizes_its_tables_per_row_block(self):
         # grading 20: one sum sized for every row took 39 MB here
-        from hkfrac.operators import _left_nodes, _plain_kernel, _weight_rows
+        from hkfrac.operators import _left_nodes, _plain_kernel
 
         g, f, got = cold_apply_within(gfi_left, 0.1, 20 * 2**20, alpha=0.1)
         n = g.n
         for r0, r1 in ((2 * _BLOCK, 2 * _BLOCK + 5), (n // 2, n // 2 + 5), (n - 5, n)):
-            rows = _weight_rows(_left_nodes(g), _plain_kernel(0.1), r0, r1, np.zeros((r1 - r0, n + 1)))
+            rows = weight_rows(_left_nodes(g), _plain_kernel(0.1), r0, r1, np.zeros((r1 - r0, n + 1)))
             want = rows @ np.concatenate(([0.0], f.values))
             assert np.max(np.abs(got[r0:r1] - want)) <= 1e-13 * np.max(np.abs(got))
 
@@ -553,7 +599,7 @@ class TestCompressedRightKernel:
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard", "katugampola"])
     def test_matches_the_dense_oracle_rows_at_4096(self, family, grading):
         # dense rows built alone: the first rows carry the longest far fields
-        from hkfrac.operators import _plain_kernel, _right_nodes, _weight_rows
+        from hkfrac.operators import _plain_kernel, _right_nodes
 
         p = _families()[family]
         n = 4096
@@ -561,8 +607,8 @@ class TestCompressedRightKernel:
         v = np.cos(3.0 * g.nodes_z) + np.sin(40.0 * g.nodes_z)
         got = gfi_right(GridFn(g, 0.0, v), p.alpha).values
         for r0, r1 in ((0, 6), (n // 2 - 3, n // 2 + 3), (n - 7, n - 1)):
-            reflected = _weight_rows(_right_nodes(g), _plain_kernel(p.alpha),
-                                     n - 1 - r1, n - 1 - r0, np.zeros((r1 - r0, n)))
+            reflected = weight_rows(_right_nodes(g), _plain_kernel(p.alpha),
+                                    n - 1 - r1, n - 1 - r0, np.zeros((r1 - r0, n)))
             self._close(got[r0:r1], (reflected @ v[::-1])[::-1], scale=np.max(np.abs(got)))
         assert got[-1] == 0.0
 

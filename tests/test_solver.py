@@ -503,7 +503,7 @@ class TestFrozenHistory:
     @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
     def test_every_band_call_of_a_solve_equals_the_dense_oracle(self, name, n, monkeypatch):
         # each sweep's band part plus the history's far rows, against the dense
-        # weights, through the solver's own streamed table
+        # weights, through the solver's own table
         from hkfrac import operators
 
         problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
@@ -521,7 +521,7 @@ class TestFrozenHistory:
         def checked_near(self, r0, r1, values):
             got = near(self, r0, r1, values)
             [cursor] = cursors
-            assert self is cursor.table and self.moments is None  # streamed, not kept
+            assert self is cursor.table and not self.kept  # the solve's own, not the grid's
             assert values.size == r1 + 1
             want = W[r0:r1, :r1 + 1] @ values
             assert np.max(np.abs(got + cursor.far[r0:r1] - want)) <= 1e-13 * np.max(np.abs(want))
@@ -562,23 +562,33 @@ class TestFrozenHistory:
     def test_a_solve_builds_each_block_once_and_keeps_no_table(self, name, n, monkeypatch):
         from hkfrac import operators
 
-        built = {"band": [], "far": []}
-        build_band, build_far = operators._CompressedLeft.build_band, operators._CompressedLeft.build_far
+        built, held, tables = {"band": [], "far": []}, [], []
+        weight_rows = operators._weight_rows
+        reach, far_block = operators._CompressedLeft.reach, operators._CompressedLeft.far_block
 
-        def band(self, k, out, *scratch):
-            built["band"].append(k)
-            return build_band(self, k, out, *scratch)
+        def band(u, terms, r0, *args, **kwargs):
+            built["band"].append(r0 // _BLOCK)
+            return weight_rows(u, terms, r0, *args, **kwargs)
 
-        def far(self, b, *arrays):
-            built["far"].append(b)
-            return build_far(self, b, *arrays)
+        def reached(self, start, scratch):
+            reach(self, start, scratch)
+            tables.append(self)
+            held.append(sum(block is not None for block in self.band))
 
-        monkeypatch.setattr(operators._CompressedLeft, "build_band", band)
-        monkeypatch.setattr(operators._CompressedLeft, "build_far", far)
+        def far(self, b):
+            if self.far[b] is None:
+                built["far"].append(b)
+            return far_block(self, b)
+
+        monkeypatch.setattr(operators, "_weight_rows", band)
+        monkeypatch.setattr(operators._CompressedLeft, "reach", reached)
+        monkeypatch.setattr(operators._CompressedLeft, "far_block", far)
         problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
         report = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
         blocks = -(-n // _BLOCK)
         assert built == {"band": list(range(blocks)), "far": list(range(blocks - 2))}
+        # the band blocks of the current start's rows at most, and no far block
+        assert max(held) == 2 and not any(tables[0].far)
         assert not report.grid._cache
 
     @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
@@ -587,11 +597,12 @@ class TestFrozenHistory:
 
         problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
         streamed = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
-        # every block built at once, into arrays of its own, as the grid keeps them
-        monkeypatch.setattr(solver, "_table", operators._compressed)
+        # through the table the grid keeps for the operators, which holds every block
+        monkeypatch.setattr(solver, "_table",
+                            lambda grid, terms, side, kept: operators._compressed(grid, terms, side))
         kept = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
         [table] = kept.grid._cache.values()
-        assert table.moments is not None and all(block is not None for block in table.band)
+        assert all(block is not None for block in table.band + table.far)
         assert np.array_equal(streamed.solution.regular_values, kept.solution.regular_values)
         assert streamed.iterations == kept.iterations
         assert streamed.residual_history == kept.residual_history

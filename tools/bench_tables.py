@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
-"""Time the cold compressed-kernel table build against another checkout.
+"""Time the cold compressed-kernel apply against another checkout.
 
 Two packages are imported side by side: this checkout's ``src/hkfrac`` as
 "change" and the ``hkfrac`` under ``--parent`` (a ``src`` directory) as
-"parent".  For each configuration a fresh grid is made and its
-``operators._compressed`` table built once, on both packages in
-alternation, ``--reps`` times each.  The module's ``_weight_rows`` and
-``_hat_moments`` are wrapped in timers during the build, which splits it
-into the near band, the hat moments and the rest (the exponentials, the
-table assembly and the sum of exponentials itself).  The script prints one
-JSON object with
+"parent".  For each configuration a fresh grid is made and one vector
+applied through ``operators._kernel_rows``, whose first call builds the
+grid's ``_compressed`` table, on both packages in alternation, ``--reps``
+times each.  The module's ``_weight_rows`` and ``_hat_moments`` are wrapped
+in timers during the apply, which splits it into the near band, the hat
+moments and the rest (the exponentials, the table assembly, the sum of
+exponentials itself and the apply).  The script prints one JSON object with
 
 * ``per_config``: median and quartile milliseconds of each part, and the
   median whole-build speed-up, per configuration:
@@ -20,9 +20,9 @@ JSON object with
   every grid on [1, 2] with the default grading;
 * ``sums``: the medians summed over the solve-mild configurations;
 * ``accuracy``, per configuration and package:
-  - ``band_error``: the largest error of the near-band weights against a
-    long-double evaluation of the same formula, relative to each row's
-    largest weight;
+  - ``band_error``: the largest error of a near-band weight against the
+    same weight in 250-digit mpmath, relative to that weight, over rows in
+    the first band block past node 0, mid-grid and at the end;
   - ``closed_form_gap``: the largest error of ``gfi_left`` (left) or
     ``gfi_right`` (right) of order alpha on z^1.5 or (z_n - z)^1.5 against
     the power rule, relative to its largest value.
@@ -40,6 +40,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+import mpmath
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")  # one BLAS thread, as in bench/run.py
@@ -64,8 +66,14 @@ def configs() -> list:
     return out
 
 
+def cold_apply(ops, grid, alpha: float, side: str) -> None:
+    """One side's kernel of order alpha on ones at every node; the first apply builds the grid's table."""
+    m = grid.n + (side == "left")  # the left nodes are [0, z_1, ..., z_n]
+    ops._kernel_rows(grid, ops._plain_kernel(alpha), side, 0, m - 1, np.ones(m))
+
+
 def cold_build(pkg, config) -> dict:
-    """Milliseconds of one cold table build, split into band, hat moments and the rest."""
+    """Milliseconds of one cold apply, split into band, hat moments and the rest."""
     _, alpha, beta, rho, n, side = config
     ops = pkg.operators
     grid = pkg.make_graded_grid(pkg.make_params(alpha, beta, rho, A, B), n)
@@ -85,7 +93,7 @@ def cold_build(pkg, config) -> dict:
         setattr(ops, name, timer(name, fn))
     try:
         t0 = time.perf_counter()
-        ops._compressed(grid, ops._plain_kernel(alpha), side)
+        cold_apply(ops, grid, alpha, side)
         total = time.perf_counter() - t0
     finally:
         for name, fn in originals.items():
@@ -95,22 +103,24 @@ def cold_build(pkg, config) -> dict:
             "rest": 1e3 * (total - band - hat)}
 
 
-def long_double_band(u: np.ndarray, coef: float, e: float, r0: int, r1: int, col0: int) -> np.ndarray:
-    """Rows [r0, r1) of coef w^(e-1)'s weights over panels col0.. in long double, log1p/expm1 form."""
-    U = u.astype(np.longdouble)
-    e = np.longdouble(e)
-    h = U[col0 + 1:r1 + 1] - U[col0:r1]
-    past = np.arange(r0, r1)[:, None] < np.arange(col0, r1)
-    w_far = np.where(past, 1, U[r0 + 1:r1 + 1, None] - U[col0:r1])
-    rm1 = np.where(past, 0, -h / w_far)
-    with np.errstate(divide="ignore"):
-        log_q = np.log1p(rm1)
-    em, em1 = np.expm1(e * log_q), np.expm1((e + 1) * log_q)
-    scale = np.longdouble(coef) * w_far ** (e + 1) / h
-    out = np.zeros((r1 - r0, r1 - col0 + 1), dtype=np.longdouble)
-    out[:, :-1] += scale * ((1 + rm1) * em / e - em1 / (e + 1))
-    out[:, 1:] += scale * (em1 / (e + 1) - em / e)
-    return out
+def mp_band_row(u: np.ndarray, coef: float, e: float, i: int, col0: int) -> np.ndarray:
+    """Row i of coef w^(e-1)'s weights at nodes col0..i+1 in 250-digit mpmath, from the double nodes.
+
+    Panels 1e-60 long at 1e-24 from the target cancel 108 digits in the
+    closed form, so fewer digits are not enough.
+    """
+    with mpmath.workdps(250):
+        U = [mpmath.mpf(float(v)) for v in u[col0:i + 2]]
+        E, C = mpmath.mpf(float(e)), mpmath.mpf(float(coef))
+        out = [mpmath.mpf(0)] * len(U)
+        for j in range(len(U) - 1):
+            far, near = U[-1] - U[j], U[-1] - U[j + 1]
+            pe = far**E - (near**E if near > 0 else 0)
+            pe1 = far ** (E + 1) - (near ** (E + 1) if near > 0 else 0)
+            h = U[j + 1] - U[j]
+            out[j + 1] += C * (far * pe / E - pe1 / (E + 1)) / h
+            out[j] += C * (pe1 / (E + 1) - near * pe / E) / h
+        return np.array([float(v) for v in out])
 
 
 def accuracy(pkg, config) -> dict:
@@ -119,15 +129,15 @@ def accuracy(pkg, config) -> dict:
     grid = pkg.make_graded_grid(pkg.make_params(alpha, beta, rho, A, B), n)
     [(coef, e)] = ops._plain_kernel(alpha)
     u = ops._left_nodes(grid) if side == "left" else ops._right_nodes(grid)
-    table = ops._compressed(grid, ops._plain_kernel(alpha), side)
+    cold_apply(ops, grid, alpha, side)  # builds every block of the table
+    table, blk = ops._compressed(grid, ops._plain_kernel(alpha), side), ops._BLOCK
     worst = 0.0
-    for k, band in enumerate(table.band):
-        r0 = k * ops._BLOCK
-        col0 = max(r0 - ops._BLOCK, 0)
-        ref = long_double_band(u, coef, e, r0, r0 + band.shape[0], col0)
-        got = band[:, :ref.shape[1]]
-        err = np.max(np.abs(got - ref), axis=1) / np.max(np.abs(ref), axis=1)
-        worst = max(worst, float(np.max(err)))
+    for i in (blk + blk // 2, table.n // 2, table.n - 1):
+        k = i // blk
+        col0 = max(k - 1, 0) * blk
+        want = mp_band_row(u, coef, e, i, col0)
+        got = table.band[k][i - k * blk, :want.size]
+        worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     z = grid.nodes_z
     power = math.gamma(2.5) / math.gamma(2.5 + alpha)
     if side == "left":
