@@ -314,26 +314,27 @@ def _hat_moments(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _CompressedLeft:
     """A kernel as exact near weights plus a far field of exponentials sized per row block.
 
-    ``terms`` is the near kernel; ``exp_sum(delta)`` gives nodes s, ascending,
-    and weights om with kernel(w) ~ sum_l om_l exp(-s_l w) for w >= delta.
-    With B = _BLOCK panels per block, a target row i in block k keeps the
-    exact product-integration weights of blocks k-1 and k: row i - k B of
-    ``band[k]``, whose column 0 is node (k-1) B (node 0 for k < 2).  Blocks
-    <= k-2 lie at least delta_k, the length of block k-1, from the row, so it
-    keeps the N_k nodes with s delta_k <= _EXP_CUT (sized per cluster as in
-    McLean, SISC 34 (2012) A3039).  Its far integral is a_i @ M(k)[:N_k], with
-    a_i = om exp(-s (z_i - E_(k-2))) row i - k B of far block k-2's
-    ``at_row``, E_b the node ending block b, and M(k) the moments of the
-    linear interpolant against exp(-s (E_(k-2) - u)) over blocks <= k-2:
-    M(k) = decay M(k-1) + moments @ v, where far block b = k-2's ``moments``
-    map its B + 1 node values to their moments referred to E_b and its
-    ``decay`` is exp(-s (E_b - E_(b-1))).  Every factor is exp(-s d), d >= 0.
-    M(k) and far block k-2 have the P_k = max_(k' >= k) N_k' columns that
-    later rows read: N_k on the left nodes, graded toward a, and all on the
-    reflected right ones.
+    ``terms`` is ((c, e),) for c w^(e-1), 0 < e < 1; ``_exp_sum`` gives nodes
+    s, ascending, and weights om with c w^(e-1) ~ sum_l om_l exp(-s_l w) for
+    w >= delta.  With B = _BLOCK panels per block, a target row i in block k
+    keeps the exact product-integration weights of blocks k-1 and k: row i -
+    k B of ``band[k]``, whose column 0 is node (k-1) B (node 0 for k < 2).
+    Blocks <= k-2 lie at least delta_k, the length of block k-1, from the
+    row, so it keeps the N_k nodes with s delta_k <= _EXP_CUT (sized per
+    cluster as in McLean, SISC 34 (2012) A3039).  Its far integral is a_i @
+    M(k)[:N_k], with a_i = om exp(-s (z_i - E_(k-2))) row i - k B of far
+    block k-2's ``at_row``, E_b the node ending block b, and M(k) the moments
+    of the linear interpolant against exp(-s (E_(k-2) - u)) over blocks <=
+    k-2: M(k)[:N_k] = decay M(k-1)[:N_k] + moments @ v, where far block b =
+    k-2's ``moments`` map its B + 1 node values to their moments referred to
+    E_b and its ``decay`` is exp(-s (E_b - E_(b-1))).  Every factor is
+    exp(-s d), d >= 0.  Far block b keeps the N_(b+2) columns of its nearest
+    reader: every row that reads it lies delta_(b+2) or more past its end,
+    where a node with s delta_(b+2) > _EXP_CUT is below the sum's tolerance.
+    So M(k) is zero from column N_k on, on both sides.
 
-    Construction sizes the table (block ends, the sum of exponentials, N_k,
-    P_k and the decay steps) and builds no block.  A walk builds each block
+    Construction sizes the table (block ends, the sum of exponentials, N_k
+    and the decay steps) and builds no block.  A walk builds each block
     the first time it needs it, each kind in one method: ``reach`` the band
     blocks of a start's rows, ``far_block`` a far block as a ``_History``
     folds it.  ``near`` applies the band.  Each block is an array of its own
@@ -342,26 +343,25 @@ class _CompressedLeft:
     when it is made: a ``kept`` one, cached on the grid for the operators
     (``_compressed``), every block it has built; the Picard solver's own,
     each band block until its walk has passed it and no far block, so
-    O(B P_2) memory instead of O(n (B + N_k)), 6 MB of RSS in place of 175 MB
-    at n = 65536.
+    O(B max N_k) memory instead of O(n (B + N_k)), 6 MB of RSS in place of
+    175 MB at n = 65536.
     """
 
-    def __init__(self, u: np.ndarray, terms: KernelTerms, exp_sum, kept: bool):
+    def __init__(self, u: np.ndarray, terms: KernelTerms, kept: bool):
         B = _BLOCK
         self.u, self.terms, self.n, self.kept = u, terms, u.size - 1, kept
         self.blocks = -(-self.n // B)
         self.band = [None] * self.blocks  # each row block's, while held
-        self.width, self.counts, self.carried = 0, [], []
+        self.counts = []
         n_far = self.blocks - 2  # blocks that are far from some row
         self.far = [None] * max(n_far, 0)  # each far block's, while held
         if n_far < 1:
             return
         self.ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
         lengths = np.diff(self.ends)  # delta_k of row blocks k = 2 .. n_far + 1
-        self.s, self.om = exp_sum(float(np.min(lengths)))
-        counts = np.searchsorted(self.s, _EXP_CUT / lengths, side="right")  # N_k
-        carried = np.maximum.accumulate(counts[::-1])[::-1]  # P_k
-        self.counts, self.carried, self.width = counts.tolist(), carried.tolist(), int(carried[0])
+        [(coef, e)] = terms
+        self.s, self.om = _exp_sum(e, float(np.min(lengths)), u[-1] - u[0], coef)
+        self.counts = np.searchsorted(self.s, _EXP_CUT / lengths, side="right").tolist()  # N_k
         self.steps = np.diff(self.ends[:n_far], prepend=u[0])
 
     def reach(self, start: int, scratch: np.ndarray) -> None:
@@ -382,28 +382,27 @@ class _CompressedLeft:
                                             scratch, col0=max(r0 - B, 0))
 
     def far_block(self, b: int) -> tuple:
-        """Far block b: ``moments`` (B + 1, P), ``decay`` (P) and ``at_row`` (rows of block b + 2, N).
+        """Far block b: ``moments`` (B + 1, N), ``decay`` (N) and ``at_row`` (rows of block b + 2, N).
 
-        P and N are P_(b+2) and N_(b+2); built on first use, held if kept.
-        Made before the temporaries, a kept table's arrays left them at the
-        top of the heap, where glibc handed them back and the next block
-        faulted them in again: 9600 page faults and 1.6x the time of a cold
-        n = 4096 build.
+        N is N_(b+2); built on first use, held if kept.  Made before the
+        temporaries, a kept table's arrays left them at the top of the heap,
+        where glibc handed them back and the next block faulted them in
+        again: 9600 page faults and 1.6x the time of a cold n = 4096 build.
         """
         if self.far[b] is not None:
             return self.far[b]
-        B, u, s, end = _BLOCK, self.u, self.s, self.ends[b]
-        p0, P, N = b * B, self.carried[b], self.counts[b]
+        B, u, s, end = _BLOCK, self.u, self.s[:self.counts[b]], self.ends[b]
+        p0 = b * B
         h = np.diff(u[p0:p0 + B + 1])
-        to_end = h[:, None] * np.exp(np.multiply.outer(u[p0 + 1:p0 + B + 1] - end, s[:P]))
-        far, near = _hat_moments(h, s[:P])
-        moments = np.empty((B + 1, P))
+        to_end = h[:, None] * np.exp(np.multiply.outer(u[p0 + 1:p0 + B + 1] - end, s))
+        far, near = _hat_moments(h, s)
+        moments = np.empty((B + 1, s.size))
         np.multiply(far, to_end, out=moments[:B])
         moments[B] = 0.0
         moments[1:] += np.multiply(near, to_end, out=near)
-        decay = np.exp(-self.steps[b] * s[:P])
-        at_row = np.multiply.outer(end - u[p0 + 2 * B + 1:p0 + 3 * B + 1], s[:N])
-        np.multiply(np.exp(at_row, out=at_row), self.om[:N], out=at_row)  # the rows of block b + 2
+        decay = np.exp(-self.steps[b] * s)
+        at_row = np.multiply.outer(end - u[p0 + 2 * B + 1:p0 + 3 * B + 1], s)
+        np.multiply(np.exp(at_row, out=at_row), self.om[:s.size], out=at_row)  # the rows of block b + 2
         if self.kept:
             self.far[b] = moments, decay, at_row
         return moments, decay, at_row
@@ -445,7 +444,7 @@ class _History:
 
     def __init__(self, table: _CompressedLeft):
         self.table = table
-        self.k, self.M, self.far = 2, np.zeros(table.width), np.zeros(table.n)
+        self.k, self.M, self.far = 2, np.zeros(max(table.counts, default=0)), np.zeros(table.n)
         self.scratch = np.empty((8, _BLOCK, 2 * _BLOCK))
 
     def advance(self, v: np.ndarray, start: int) -> None:
@@ -454,8 +453,10 @@ class _History:
         for k in range(self.k, min(start // B + 2, table.blocks)):
             # M(k) from M(k - 1) and far block k - 2, then the far rows of block k
             moments, decay, at_row = table.far_block(k - 2)
-            self.M = decay * self.M[:decay.size] + v[(k - 2) * B:(k - 1) * B + 1] @ moments
-            self.far[k * B:(k + 1) * B] = at_row @ self.M[:at_row.shape[1]]
+            M, N = self.M, decay.size
+            M[N:] = 0.0
+            M[:N] = decay * M[:N] + v[(k - 2) * B:(k - 1) * B + 1] @ moments
+            self.far[k * B:(k + 1) * B] = at_row @ M[:N]
             self.k = k + 1
 
 
@@ -463,9 +464,7 @@ def _table(grid: Grid, terms: KernelTerms, side: str, kept: bool) -> _Compressed
     """One side's table of a kernel c w^(e-1), 0 < e < 1, with no block built; None for any other kernel."""
     if len(terms) != 1 or not 0.0 < terms[0][1] < 1.0:
         return None
-    u = _left_nodes(grid) if side == "left" else _right_nodes(grid)
-    [(coef, e)] = terms
-    return _CompressedLeft(u, terms, lambda delta: _exp_sum(e, delta, u[-1] - u[0], coef), kept)
+    return _CompressedLeft(_left_nodes(grid) if side == "left" else _right_nodes(grid), terms, kept)
 
 
 def _compressed(grid: Grid, terms: KernelTerms, side: str) -> _CompressedLeft | None:

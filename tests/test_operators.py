@@ -467,13 +467,13 @@ class TestCompressedLeftKernel:
             s, _ = _exp_sum(e, float(lengths.min()), u[-1] - u[0])
             counts = [block.shape[1] for block in at_row]  # N_k of row blocks 2, 3, ...
             assert counts == np.searchsorted(s, _EXP_CUT / lengths, side="right").tolist()
-            carried = [max(counts[b:]) for b in range(len(counts))]
-            assert [m.shape for m in moments] == [(B + 1, P) for P in carried]
-            assert [d.size for d in decay] == carried
+            # far block b = k - 2 keeps the exponentials of row block k, its nearest reader
+            assert [m.shape for m in moments] == [(B + 1, N) for N in counts]
+            assert [d.size for d in decay] == counts
             if side == "left":  # blocks grow away from a
                 assert counts == sorted(counts, reverse=True) and 3 * counts[-1] < counts[0]
-            else:
-                assert carried == [s.size] * len(counts)
+            else:  # the reflected blocks shrink toward a
+                assert counts == sorted(counts)
 
     def test_band_and_far_row_tables_are_one_array_per_row_block(self):
         # n-row arrays of several MB landed in whatever heap hole the last
@@ -541,15 +541,20 @@ class TestCompressedLeftKernel:
             W = _weight_matrix(g, _plain_kernel(order), left_sided=True)
             np.testing.assert_allclose(got, W @ np.concatenate(([0.0], f.values)), rtol=1e-13, atol=0.0)
 
-    def test_cold_apply_at_order_0_1_sizes_its_tables_per_row_block(self):
-        # grading 20: one sum sized for every row took 39 MB here
-        from hkfrac.operators import _left_nodes, _plain_kernel
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_cold_apply_at_order_0_1_sizes_its_tables_per_row_block(self, side):
+        # grading 20: one sum sized for every row took 39 MB here, and far
+        # blocks that all kept every exponential 27 MB on the right
+        from hkfrac.operators import _left_nodes, _plain_kernel, _right_nodes
 
-        g, f, got = cold_apply_within(gfi_left, 0.1, 20 * 2**20, alpha=0.1)
-        n = g.n
-        for r0, r1 in ((2 * _BLOCK, 2 * _BLOCK + 5), (n // 2, n // 2 + 5), (n - 5, n)):
-            rows = weight_rows(_left_nodes(g), _plain_kernel(0.1), r0, r1, np.zeros((r1 - r0, n + 1)))
-            want = rows @ np.concatenate(([0.0], f.values))
+        g, f, got = cold_apply_within(gfi_left if side == "left" else gfi_right, 0.1, 20 * 2**20, alpha=0.1)
+        if side == "left":
+            u, v = _left_nodes(g), np.concatenate(([0.0], f.values))
+        else:  # row r of the reflected apply is the value at node n - 2 - r
+            u, v, got = _right_nodes(g), f.values[::-1], got[-2::-1]
+        m = u.size - 1  # rows
+        for r0, r1 in ((2 * _BLOCK, 2 * _BLOCK + 5), (m // 2, m // 2 + 5), (m - 5, m)):
+            want = weight_rows(u, _plain_kernel(0.1), r0, r1, np.zeros((r1 - r0, m + 1))) @ v
             assert np.max(np.abs(got[r0:r1] - want)) <= 1e-13 * np.max(np.abs(got))
 
 

@@ -31,6 +31,7 @@ def test_bench_tables_times_and_checks_a_cold_apply(bench_tables, side):
     assert set(timed) == {"total", "band", "hat_moments", "rest"}
     # the timed apply builds the table: its band and hat moments take time
     assert timed["total"] > timed["band"] > 0.0 and timed["hat_moments"] > 0.0
+    assert bench_tables.cold_peak(hkfrac, config) > 0.0
     accuracy = bench_tables.accuracy(hkfrac, config)
     assert 0.0 < accuracy["band_error"] <= 1e-13
     assert 0.0 < accuracy["closed_form_gap"] <= 1e-4

@@ -11,8 +11,10 @@ in timers during the apply, which splits it into the near band, the hat
 moments and the rest (the exponentials, the table assembly, the sum of
 exponentials itself and the apply).  The script prints one JSON object with
 
-* ``per_config``: median and quartile milliseconds of each part, and the
-  median whole-build speed-up, per configuration:
+* ``per_config``: median and quartile milliseconds of each part, the
+  median whole-build speed-up and, per package, ``peak_mb``, the
+  ``tracemalloc`` peak of one more cold apply outside the timed ones, per
+  configuration:
   - the 15 solve-mild configurations of the benchmark (``bench/cases.py``):
     the left kernel of order alpha that ``picard_solve`` builds;
   - alpha in {0.1, 0.5} (beta = 0, rho = 2) at n in {4096, 16384}, left and
@@ -39,6 +41,7 @@ import math
 import os
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -101,6 +104,18 @@ def cold_build(pkg, config) -> dict:
     band, hat = spent["_weight_rows"], spent["_hat_moments"]
     return {"total": 1e3 * total, "band": 1e3 * band, "hat_moments": 1e3 * hat,
             "rest": 1e3 * (total - band - hat)}
+
+
+def cold_peak(pkg, config) -> float:
+    """The tracemalloc peak, in MB, of one cold apply on a fresh grid."""
+    _, alpha, beta, rho, n, side = config
+    grid = pkg.make_graded_grid(pkg.make_params(alpha, beta, rho, A, B), n)
+    tracemalloc.start()
+    try:
+        cold_apply(pkg.operators, grid, alpha, side)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def mp_band_row(u: np.ndarray, coef: float, e: float, i: int, col0: int) -> np.ndarray:
@@ -175,6 +190,8 @@ def main() -> None:
             for side in (list(pkgs) if r % 2 == 0 else list(pkgs)[::-1]):
                 samples[side].append(cold_build(pkgs[side], config))
         row = {side: summary(s) for side, s in samples.items()}
+        for side, pkg in pkgs.items():
+            row[side]["peak_mb"] = round(cold_peak(pkg, config), 2)
         row["speedup"] = round(row["parent"]["total_ms"] / row["change"]["total_ms"], 2)
         per_config[config[0]] = row
         acc[config[0]] = {side: accuracy(pkg, config) for side, pkg in pkgs.items()}
