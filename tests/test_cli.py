@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,14 @@ class TestMlCommand:
 
     def test_invalid_parameter_exit_code(self):
         assert cli.main(["ml", "--alpha", "-1", "--x", "0.5"]) == 2
+
+    @pytest.mark.parametrize("field,value", [("alpha", "inf"), ("alpha", "nan"), ("beta", "inf")])
+    def test_nonfinite_parameter_exits_2_without_summing(self, capsys, field, value):
+        # a non-finite order used to run the series to its term cap, warn, and exit 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["ml", "--alpha", "0.5", f"--{field}", value, "--x", "0.5"]) == 2
+        assert f"finite {field}" in capsys.readouterr().err
 
     def test_malformed_args_exit_code(self, capsys):
         assert cli.main(["ml", "--alpha", "1"]) == 1

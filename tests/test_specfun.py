@@ -161,6 +161,22 @@ class TestML2:
         with pytest.raises(ValidationError):
             MLQuery(0.5, -1.0, 0.5)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_query_refuses_nonfinite_parameters(self, field, value):
+        with pytest.raises(ValidationError, match=f"finite {field}"):
+            MLQuery(**{"alpha": 0.5, "beta": 1.0, field: value}, x=0.5)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.75, 1.0, 1.3, 2.0])
+    def test_value_at_zero_is_the_limit_of_the_series(self, beta):
+        # E(0) is the series' own c_0, not 1/Gamma(beta) by another rounding route
+        at_zero = ml2(MLQuery(0.5, beta, 0.0))
+        for x in (1e-300, -1e-300, -0.0):
+            assert ml2(MLQuery(0.5, beta, x)) == at_zero
+        assert ml2(MLQuery(0.5, beta, np.array([0.0, 1e-300, -1e-300]))).tolist() == [at_zero] * 3
+        if beta in (1.0, 2.0):
+            assert at_zero == 1.0
+
 
 def ks_reference(alpha, l, m, x, terms=64):
     """Kilbas-Saigo partial sum with stdlib gammas (independent oracle)."""
@@ -241,20 +257,25 @@ class TestMLKS:
         with pytest.raises(ValidationError):
             KSQuery(0.5, 0.5, 0.0, 0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "l", "m"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_query_refuses_nonfinite_parameters(self, field, value):
+        with pytest.raises(ValidationError, match=f"finite {field}"):
+            KSQuery(**{"alpha": 0.5, "l": 0.5, "m": 1.0, field: value}, x=0.5)
+
 
 class TestSeriesLayout:
-    """The series loop sums in chunks of terms and blocks of arguments; neither is visible."""
+    """The series loop makes its coefficients in chunks of terms; the chunking is not visible."""
 
     XS = np.concatenate([np.linspace(-3.0, 3.0, 121), [0.0, -0.0, 1e-300, 30.0, SERIES_X_MAX]])
 
     def both(self):
         return (ml2(MLQuery(0.9, 1.3, self.XS)), ml_ks(KSQuery(0.7, -0.3, 1.0, self.XS)))
 
-    @pytest.mark.parametrize("chunk,block", [(7, 5), (128, 32)])
-    def test_values_do_not_depend_on_chunk_or_block(self, monkeypatch, chunk, block):
+    @pytest.mark.parametrize("chunk", [7, 128])
+    def test_values_do_not_depend_on_chunk(self, monkeypatch, chunk):
         default = self.both()
         monkeypatch.setattr(specfun, "_CHUNK", chunk)
-        monkeypatch.setattr(specfun, "_BLOCK", block)
         for got, want in zip(self.both(), default):
             assert np.array_equal(got, want)
 
