@@ -41,10 +41,17 @@ band part ``_CompressedLeft.near`` plus the far rows of a ``_History``, the
 one code that folds moments; both read the values from node 0.  A table
 builds each block when a walk first needs it.  The operators' table, cached
 on the grid per side and kernel (``_compressed``), keeps every block, so
-O(n N_k) memory.  The Picard solver calls both parts itself on a table of
-its own (``_table``) that keeps a band block until the solve has passed it
-and no far block: its subintervals end within ``_band_reach``, so their far
-rows stay fixed, and a sweep makes one band call on its integrand.
+O(n N_k) memory.  Of a far block only the _EXP_SUM_NODES Gauss-Jacobi
+columns and the weights om depend on the kernel's order: its Legendre
+columns (moments, decays and exponential rows, most of the far field) depend
+on the nodes alone.  So the grid keeps them once per side (``_FarField``),
+shared by the tables of every order, and om enters in the fold, far rows =
+exps @ (om M): J^(beta(1-alpha)) delta J^((1-beta)(1-alpha)) on one grid
+keeps one far field, not one per order.  The Picard solver calls both parts
+itself on a table of its own (``_table``), with a field of its own, that
+keeps a band block until the solve has passed it and no far block: its
+subintervals end within ``_band_reach``, so their far rows stay fixed, and
+a sweep makes one band call on its integrand.
 
 Pure-power inputs (constant regular part) bypass quadrature entirely via the
 analytic rules, which keeps identities like D^a z^(a-1) = 0 exact rather
@@ -251,28 +258,35 @@ def _gauss_jacobi(e: float) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _exp_sum(e: float, delta: float, z_top: float, coef: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending nodes s, weights om: coef w^(e-1) ~ sum_l om_l exp(-s_l w) on [delta, z_top].
-
-    The quadrature of w^(e-1) = 1/Gamma(1-e) int_0^inf s^(-e) exp(-s w) ds of
-    Jiang, Zhang, Zhang & Zhang (CiCP 21 (2017) 650): Gauss-Jacobi with the
-    weight s^(-e) on [0, 1/z_top], where s w <= 1, then Gauss-Legendre panels
-    of width 2 in log s up to the s where exp(-s delta) is below the
-    tolerance.  The error falls about tenfold per node of each rule, so
-    _EXP_SUM_NODES = -log10(_EXP_SUM_TOL) nodes per rule hold the relative
-    error below it.
-    """
-    # s = (1 + x)/(2 z_top) maps the weight (1 + x)^(-e) to (2 z_top)^e s^(-e)
-    x, w = _gauss_jacobi(e)
-    s_jac = 0.5 * (1.0 + x) / z_top
-    om_jac = w * (2.0 * z_top) ** (e - 1.0)
+def _log_panels(delta: float, z_top: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes y = log s, ascending, and weights, panels of width 2 from 1/z_top to _EXP_CUT/delta."""
     lo, hi = -math.log(z_top), math.log(_EXP_CUT / delta)
     edges = np.linspace(lo, hi, math.ceil((hi - lo) / 2.0) + 1)
     nodes, weights = _gauss_jacobi(0.0)
     half = 0.5 * np.diff(edges)[:, None]
     y = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
-    s = np.concatenate((s_jac, np.exp(y).ravel()))
-    om = np.concatenate((om_jac, (half * weights * np.exp((1.0 - e) * y)).ravel()))
+    return y.ravel(), (half * weights).ravel()
+
+
+def _exp_sum(e: float, delta: float, z_top: float, coef: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes s, weights om: coef w^(e-1) ~ sum_l om_l exp(-s_l w) on [delta, z_top].
+
+    The quadrature of w^(e-1) = 1/Gamma(1-e) int_0^inf s^(-e) exp(-s w) ds of
+    Jiang, Zhang, Zhang & Zhang (CiCP 21 (2017) 650): _EXP_SUM_NODES
+    Gauss-Jacobi nodes with the weight s^(-e) on [0, 1/z_top], where s w <=
+    1, then the ``_log_panels`` in log s up to the s where exp(-s delta) is
+    below the tolerance.  The error falls about tenfold per node of each
+    rule, so _EXP_SUM_NODES = -log10(_EXP_SUM_TOL) nodes per rule hold the
+    relative error below it.  Only the Jacobi part and om depend on e: the
+    Legendre nodes are those of every order on the same nodes.
+    """
+    # s = (1 + x)/(2 z_top) maps the weight (1 + x)^(-e) to (2 z_top)^e s^(-e)
+    x, w = _gauss_jacobi(e)
+    s_jac = 0.5 * (1.0 + x) / z_top
+    om_jac = w * (2.0 * z_top) ** (e - 1.0)
+    y, weights = _log_panels(delta, z_top)
+    s = np.concatenate((s_jac, np.exp(y)))
+    om = np.concatenate((om_jac, weights * np.exp((1.0 - e) * y)))
     return s, om / math.gamma(1.0 - e) * coef
 
 
@@ -289,10 +303,14 @@ def _hat_moments(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     neg = np.multiply.outer(-h, s)
     em1 = np.expm1(neg)
-    if s[-1] * h.max() < 1.0:  # every x is below 1
-        p = math.ldexp(1.0, math.frexp(h.max())[1] - 1)
-        powers = np.ones((_FAR_SERIES.size - 3, h.size + s.size))  # of -h/p, then of s p
-        powers[1:] = np.concatenate((-h / p, s * p))
+    h_max = h.max()
+    if s[-1] * h_max < 1.0:  # every x is below 1
+        p = math.ldexp(1.0, math.frexp(h_max)[1] - 1)
+        powers = np.empty((_FAR_SERIES.size - 3, h.size + s.size))  # of -h/p, then of s p
+        powers[0] = 1.0
+        np.multiply(h, -1.0 / p, out=powers[1, :h.size])
+        np.multiply(s, p, out=powers[1, h.size:])
+        powers[2:] = powers[1]
         np.multiply.accumulate(powers, out=powers)
         far = (powers[:, :h.size].T * _FAR_SERIES[3:]) @ powers[:, h.size:]
         for coef in _FAR_SERIES[2::-1]:
@@ -311,6 +329,71 @@ def _hat_moments(h: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return far, np.subtract(np.divide(em1, neg, out=em1), far, out=em1)
 
 
+def _far_columns(u: np.ndarray, b: int, end: float, step: float, s: np.ndarray) -> tuple:
+    """Far block b's ``moments`` (B + 1, N), ``decay`` (N) and ``exps`` (rows of block b + 2, N) at nodes s.
+
+    ``moments`` map the block's B + 1 node values to their moments against
+    exp(-s (end - u)), end = E_b the node ending it; ``decay`` is exp(-s
+    step), step = E_b - E_(b-1); ``exps`` is exp(-s (z_i - E_b)) at the rows
+    z_i of block b + 2.  None carries a weight om.  Made before the
+    temporaries, a kept table's arrays left them at the top of the heap,
+    where glibc handed them back and the next block faulted them in again:
+    9600 page faults and 1.6x the time of a cold n = 4096 build.
+    """
+    B = _BLOCK
+    p0 = b * B
+    h = u[p0 + 1:p0 + B + 1] - u[p0:p0 + B]
+    to_end = np.multiply.outer(u[p0 + 1:p0 + B + 1] - end, s)
+    np.multiply(np.exp(to_end, out=to_end), h[:, None], out=to_end)
+    far, near = _hat_moments(h, s)
+    moments = np.empty((B + 1, s.size))
+    np.multiply(far, to_end, out=moments[:B])
+    moments[B] = 0.0
+    moments[1:] += np.multiply(near, to_end, out=near)
+    decay = np.exp(-step * s)
+    exps = np.multiply.outer(end - u[p0 + 2 * B + 1:p0 + 3 * B + 1], s)
+    return moments, decay, np.exp(exps, out=exps)
+
+
+class _FarField:
+    """The part of a side's far field that no kernel order enters: its Gauss-Legendre columns.
+
+    In ``_exp_sum`` only the _EXP_SUM_NODES Gauss-Jacobi nodes and the
+    weights om depend on the order; the Legendre nodes s depend on the nodes
+    u alone (the least block length delta and z_top), and with them the count
+    N_k of row block k, the nodes with s delta_k <= _EXP_CUT, and every
+    ``_far_columns`` array.  ``far_block`` builds far block b's Legendre
+    columns, the N_(b+2) of its nearest reader, the first time a table of any
+    order folds it, and holds them if ``kept``.  The grid keeps one per side
+    for the operators' tables (``_table``); the Picard solver makes a private
+    one that holds nothing.
+    """
+
+    def __init__(self, u: np.ndarray, kept: bool):
+        B = _BLOCK
+        self.u, self.kept = u, kept
+        n_far = -(-(u.size - 1) // B) - 2  # blocks that are far from some row
+        self.far = [None] * max(n_far, 0)  # each far block's, while held
+        self.counts = []
+        if n_far < 1:
+            return
+        self.ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
+        lengths = np.diff(self.ends)  # delta_k of row blocks k = 2 .. n_far + 1
+        self.delta = float(np.min(lengths))
+        self.s = np.exp(_log_panels(self.delta, u[-1] - u[0])[0])
+        self.counts = np.searchsorted(self.s, _EXP_CUT / lengths, side="right").tolist()  # N_k
+        self.steps = np.diff(self.ends[:n_far], prepend=u[0])
+
+    def far_block(self, b: int) -> tuple:
+        """Far block b's Legendre ``_far_columns``, built on first use, held if kept."""
+        if self.far[b] is None:
+            block = _far_columns(self.u, b, self.ends[b], self.steps[b], self.s[:self.counts[b]])
+            if not self.kept:
+                return block
+            self.far[b] = block
+        return self.far[b]
+
+
 class _CompressedLeft:
     """A kernel as exact near weights plus a far field of exponentials sized per row block.
 
@@ -320,49 +403,53 @@ class _CompressedLeft:
     keeps the exact product-integration weights of blocks k-1 and k: row i -
     k B of ``band[k]``, whose column 0 is node (k-1) B (node 0 for k < 2).
     Blocks <= k-2 lie at least delta_k, the length of block k-1, from the
-    row, so it keeps the N_k nodes with s delta_k <= _EXP_CUT (sized per
-    cluster as in McLean, SISC 34 (2012) A3039).  Its far integral is a_i @
-    M(k)[:N_k], with a_i = om exp(-s (z_i - E_(k-2))) row i - k B of far
-    block k-2's ``at_row``, E_b the node ending block b, and M(k) the moments
-    of the linear interpolant against exp(-s (E_(k-2) - u)) over blocks <=
-    k-2: M(k)[:N_k] = decay M(k-1)[:N_k] + moments @ v, where far block b =
-    k-2's ``moments`` map its B + 1 node values to their moments referred to
-    E_b and its ``decay`` is exp(-s (E_b - E_(b-1))).  Every factor is
-    exp(-s d), d >= 0.  Far block b keeps the N_(b+2) columns of its nearest
-    reader: every row that reads it lies delta_(b+2) or more past its end,
-    where a node with s delta_(b+2) > _EXP_CUT is below the sum's tolerance.
-    So M(k) is zero from column N_k on, on both sides.
+    row, so it keeps the nodes with s delta_k <= _EXP_CUT (sized per cluster
+    as in McLean, SISC 34 (2012) A3039): every Gauss-Jacobi node, which lie
+    below 1/z_top, and N_k Legendre nodes.  Its far integral is a_i @ (om
+    M(k)), with a_i = exp(-s (z_i - E_(k-2))) row i - k B of far block k-2's
+    ``exps``, E_b the node ending block b, and M(k) the moments of the linear
+    interpolant against exp(-s (E_(k-2) - u)) over blocks <= k-2: M(k) =
+    decay M(k-1) + moments @ v, where far block b = k-2's ``moments`` map its
+    B + 1 node values to their moments referred to E_b and its ``decay`` is
+    exp(-s (E_b - E_(b-1))).  Every factor is exp(-s d), d >= 0.  Far block b
+    keeps the N_(b+2) Legendre columns of its nearest reader: every row that
+    reads it lies delta_(b+2) or more past its end, where a node with s
+    delta_(b+2) > _EXP_CUT is below the sum's tolerance.  So M(k) is zero
+    from Legendre column N_k on, on both sides.
 
-    Construction sizes the table (block ends, the sum of exponentials, N_k
-    and the decay steps) and builds no block.  A walk builds each block
-    the first time it needs it, each kind in one method: ``reach`` the band
-    blocks of a start's rows, ``far_block`` a far block as a ``_History``
-    folds it.  ``near`` applies the band.  Each block is an array of its own
-    (n-row tables of 4-5 MB at n = 4096 landed in whatever heap hole the last
-    solve left, and moved peak RSS by 2.7 MB).  What a table holds is fixed
-    when it is made: a ``kept`` one, cached on the grid for the operators
-    (``_compressed``), every block it has built; the Picard solver's own,
-    each band block until its walk has passed it and no far block, so
-    O(B max N_k) memory instead of O(n (B + N_k)), 6 MB of RSS in place of
-    175 MB at n = 65536.
+    None of this but the Jacobi nodes and om depends on the order, so a far
+    block is two ``_far_columns``: ``far[b]``, the table's own, at its Jacobi
+    nodes, and the Legendre columns of the ``_FarField`` ``field`` that every
+    order's table on the same nodes shares.  om enters only in the fold
+    (``_History``): ``om`` is om's Jacobi and Legendre parts.
+
+    Construction sizes the table and builds no block.  A walk builds each
+    block the first time it needs it, each kind in one method: ``reach`` the
+    band blocks of a start's rows, ``far_block`` a far block as a
+    ``_History`` folds it.  ``near`` applies the band.  Each block is an
+    array of its own (n-row tables of 4-5 MB at n = 4096 landed in whatever
+    heap hole the last solve left, and moved peak RSS by 2.7 MB).  What a
+    table holds is its field's ``kept``: a kept one, cached on the grid for
+    the operators (``_compressed``), every block it has built; the Picard
+    solver's own, each band block until its walk has passed it and no far
+    block, so O(B max N_k) memory instead of O(n (B + N_k)), 6 MB of RSS in
+    place of 175 MB at n = 65536.
     """
 
-    def __init__(self, u: np.ndarray, terms: KernelTerms, kept: bool):
+    def __init__(self, field: _FarField, terms: KernelTerms):
         B = _BLOCK
-        self.u, self.terms, self.n, self.kept = u, terms, u.size - 1, kept
+        self.field, self.u, self.terms, self.kept = field, field.u, terms, field.kept
+        self.n = self.u.size - 1
         self.blocks = -(-self.n // B)
         self.band = [None] * self.blocks  # each row block's, while held
-        self.counts = []
-        n_far = self.blocks - 2  # blocks that are far from some row
-        self.far = [None] * max(n_far, 0)  # each far block's, while held
-        if n_far < 1:
+        self.far = [None] * len(field.far)  # each far block's Jacobi columns, while held
+        self.counts = field.counts
+        if not self.far:
             return
-        self.ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
-        lengths = np.diff(self.ends)  # delta_k of row blocks k = 2 .. n_far + 1
         [(coef, e)] = terms
-        self.s, self.om = _exp_sum(e, float(np.min(lengths)), u[-1] - u[0], coef)
-        self.counts = np.searchsorted(self.s, _EXP_CUT / lengths, side="right").tolist()  # N_k
-        self.steps = np.diff(self.ends[:n_far], prepend=u[0])
+        s, om = _exp_sum(e, field.delta, self.u[-1] - self.u[0], coef)
+        m = _EXP_SUM_NODES
+        self.s, self.om = s[:m], (om[:m], om[m:])  # the Jacobi nodes; om's Jacobi and Legendre parts
 
     def reach(self, start: int, scratch: np.ndarray) -> None:
         """Build the band blocks of rows [start, _band_reach(start)) that are missing.
@@ -382,30 +469,17 @@ class _CompressedLeft:
                                             scratch, col0=max(r0 - B, 0))
 
     def far_block(self, b: int) -> tuple:
-        """Far block b: ``moments`` (B + 1, N), ``decay`` (N) and ``at_row`` (rows of block b + 2, N).
+        """Far block b's ``_far_columns`` at the Jacobi nodes, then at the field's Legendre nodes.
 
-        N is N_(b+2); built on first use, held if kept.  Made before the
-        temporaries, a kept table's arrays left them at the top of the heap,
-        where glibc handed them back and the next block faulted them in
-        again: 9600 page faults and 1.6x the time of a cold n = 4096 build.
+        Each part is built on first use and held if kept.
         """
-        if self.far[b] is not None:
-            return self.far[b]
-        B, u, s, end = _BLOCK, self.u, self.s[:self.counts[b]], self.ends[b]
-        p0 = b * B
-        h = np.diff(u[p0:p0 + B + 1])
-        to_end = h[:, None] * np.exp(np.multiply.outer(u[p0 + 1:p0 + B + 1] - end, s))
-        far, near = _hat_moments(h, s)
-        moments = np.empty((B + 1, s.size))
-        np.multiply(far, to_end, out=moments[:B])
-        moments[B] = 0.0
-        moments[1:] += np.multiply(near, to_end, out=near)
-        decay = np.exp(-self.steps[b] * s)
-        at_row = np.multiply.outer(end - u[p0 + 2 * B + 1:p0 + 3 * B + 1], s)
-        np.multiply(np.exp(at_row, out=at_row), self.om[:s.size], out=at_row)  # the rows of block b + 2
-        if self.kept:
-            self.far[b] = moments, decay, at_row
-        return moments, decay, at_row
+        field = self.field
+        jacobi = self.far[b]
+        if jacobi is None:
+            jacobi = _far_columns(self.u, b, field.ends[b], field.steps[b], self.s)
+            if self.kept:
+                self.far[b] = jacobi
+        return jacobi, field.far_block(b)
 
     def near(self, r0: int, r1: int, values: np.ndarray) -> np.ndarray:
         """Rows [r0, r1) of the operator on ``values`` at nodes 0, 1, ..., from the bands alone.
@@ -436,15 +510,19 @@ class _History:
     far block into M(k) once and writes the far rows of each row block k <=
     start // _BLOCK + 1 once: their far panels end by node start, so only
     v[:start + 1] must be final (the marching history of Jiang, Zhang, Zhang
-    & Zhang, CiCP 21 (2017) 650).  ``near`` on the same v adds the band rows.
-    The walk's band builds share ``scratch``: fresh temporaries per block,
-    freed at the top of the heap, were handed back to the kernel and faulted
-    in again, 50000 page faults per round of 15 solves.
+    & Zhang, CiCP 21 (2017) 650).  The Jacobi and the Legendre part of M(k)
+    fold apart, and each part's rows are exps @ (om M(k)): an order's far rows
+    are the same arithmetic whichever order built the shared columns.
+    ``near`` on the same v adds the band rows.  The walk's band builds share
+    ``scratch``: fresh temporaries per block, freed at the top of the heap,
+    were handed back to the kernel and faulted in again, 50000 page faults
+    per round of 15 solves.
     """
 
     def __init__(self, table: _CompressedLeft):
         self.table = table
-        self.k, self.M, self.far = 2, np.zeros(max(table.counts, default=0)), np.zeros(table.n)
+        self.k, self.far = 2, np.zeros(table.n)
+        self.M = np.zeros(_EXP_SUM_NODES), np.zeros(max(table.counts, default=0))
         self.scratch = np.empty((8, _BLOCK, 2 * _BLOCK))
 
     def advance(self, v: np.ndarray, start: int) -> None:
@@ -452,19 +530,30 @@ class _History:
         table.reach(start, self.scratch)
         for k in range(self.k, min(start // B + 2, table.blocks)):
             # M(k) from M(k - 1) and far block k - 2, then the far rows of block k
-            moments, decay, at_row = table.far_block(k - 2)
-            M, N = self.M, decay.size
-            M[N:] = 0.0
-            M[:N] = decay * M[:N] + v[(k - 2) * B:(k - 1) * B + 1] @ moments
-            self.far[k * B:(k + 1) * B] = at_row @ M[:N]
+            seg, rows = v[(k - 2) * B:(k - 1) * B + 1], self.far[k * B:(k + 1) * B]
+            rows.fill(0.0)
+            for (moments, decay, exps), M, om in zip(table.far_block(k - 2), self.M, table.om):
+                N = decay.size
+                M[N:] = 0.0
+                M[:N] = decay * M[:N] + seg @ moments
+                rows += exps @ (om[:N] * M[:N])
             self.k = k + 1
 
 
 def _table(grid: Grid, terms: KernelTerms, side: str, kept: bool) -> _CompressedLeft | None:
-    """One side's table of a kernel c w^(e-1), 0 < e < 1, with no block built; None for any other kernel."""
+    """One side's table of a kernel c w^(e-1), 0 < e < 1, with no block built; None for any other kernel.
+
+    A kept table shares the ``_FarField`` the grid keeps for the side with
+    every other kept order; one not kept has a field of its own.
+    """
     if len(terms) != 1 or not 0.0 < terms[0][1] < 1.0:
         return None
-    return _CompressedLeft(_left_nodes(grid) if side == "left" else _right_nodes(grid), terms, kept)
+    field = grid._cache.get(side) if kept else None
+    if field is None:
+        field = _FarField(_left_nodes(grid) if side == "left" else _right_nodes(grid), kept)
+        if kept:
+            grid._cache[side] = field
+    return _CompressedLeft(field, terms)
 
 
 def _compressed(grid: Grid, terms: KernelTerms, side: str) -> _CompressedLeft | None:

@@ -79,11 +79,13 @@ class CauchyProblem:
     """f(x, phi) = rhs(x, phi) + source(x, z), initial weighted value c, optional Lipschitz A.
 
     ``rhs`` is called with node arrays (x, phi) and must return an array of
-    the same shape.  It must be pointwise, each output depending only on the
+    the same shape, or a scalar, which stands for that constant at every
+    node.  It must be pointwise, each output depending only on the
     same node's x and phi: the solver calls it only on the current
     subinterval's nodes.  The optional ``source`` is called once per solve
-    with the grid's ``nodes_x`` and exact ``nodes_z``; wrap a numpy ufunc
-    (``lambda x, z: np.cos(x)``), which would take z as its output.  When
+    with the grid's ``nodes_x`` and exact ``nodes_z`` and follows the same
+    rule; wrap a numpy ufunc (``lambda x, z: np.cos(x)``), which would take
+    z as its output.  Any other shape is a :class:`ValidationError`.  When
     ``lipschitz`` is absent the solver estimates it from ``rhs``; the
     :meth:`linear` / :meth:`power_weighted` constructors set the exact constant.
     """
@@ -296,9 +298,19 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         if np.any(bad):
             raise DomainError(f"{name} is not finite at x = {float(xs[np.argmax(bad)])!r} ({where})")
 
+    def on_nodes(name: str, vals, xs: np.ndarray, where: str) -> np.ndarray:
+        # one value per node, or a scalar for every node
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape == xs.shape:
+            return vals
+        if vals.ndim == 0:
+            return np.broadcast_to(vals, xs.shape)
+        raise ValidationError(f"{name} returned shape {vals.shape} on {xs.size} nodes; "
+                              f"it must return one value per node, or a scalar ({where})")
+
     source = None
     if problem.source is not None:
-        source = np.broadcast_to(np.asarray(problem.source(x, z), dtype=float), (n,))
+        source = on_nodes("source", problem.source(x, z), x, "before the first sweep")
         refuse_nonfinite("source", source, x, "before the first sweep")
 
     A = lipschitz_estimate(problem)
@@ -338,8 +350,10 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
     def at(s: int, k: int) -> str:
         return f"subinterval {s + 1}, " + (f"sweep {k}" if k else "converged iterate")
 
-    def f_on(xs: np.ndarray, phi: np.ndarray, src: Optional[np.ndarray]) -> np.ndarray:
+    def f_on(xs: np.ndarray, phi: np.ndarray, src: Optional[np.ndarray], s: int, k: int) -> np.ndarray:
         f_vals = np.asarray(problem.rhs(xs, phi), dtype=float)
+        if f_vals.shape != xs.shape:
+            f_vals = on_nodes("rhs", f_vals, xs, at(s, k))
         return f_vals if src is None else f_vals + src
 
     start, fr1 = 0, 0.0
@@ -361,7 +375,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
         converged = False
         k = 1
         while k <= config.max_iters:
-            f_vals = f_on(xs, dn * reg[start:end], src)
+            f_vals = f_on(xs, dn * reg[start:end], src, s, k)
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]
                 frozen = fr1 * core[:end]
@@ -402,7 +416,7 @@ def picard_solve(problem: CauchyProblem, config: SolverConfig = SolverConfig()) 
             )
         if end < n:
             # freeze f at the converged iterate for the later subintervals
-            f_vals = f_on(xs, dn * reg[start:end], src)
+            f_vals = f_on(xs, dn * reg[start:end], src, s, 0)
             refuse_nonfinite("rhs", f_vals, xs, at(s, 0))
             if s == 0:
                 fr1 = z_pow_up[0] * f_vals[0]

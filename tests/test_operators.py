@@ -457,15 +457,21 @@ class TestCompressedLeftKernel:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_each_row_block_keeps_the_exponentials_its_distance_needs(self):
-        from hkfrac.operators import _EXP_CUT, _exp_sum, _left_nodes, _plain_kernel, _right_nodes
+        from hkfrac.operators import (
+            _EXP_CUT, _EXP_SUM_NODES, _exp_sum, _left_nodes, _plain_kernel, _right_nodes,
+        )
 
         B, e = _BLOCK, 0.1
         g = make_graded_grid(make_params(e, 0.0, 2.0, 1.0, 2.0), 2048)
         for side, u in (("left", _left_nodes(g)), ("right", _right_nodes(g))):
-            moments, decay, at_row = zip(*walked_table(g, _plain_kernel(e), side).far)
+            table = walked_table(g, _plain_kernel(e), side)
+            # far block b's Jacobi columns, the table's own, beside its side's Legendre columns
+            assert all(exps.shape[1] == _EXP_SUM_NODES for _, _, exps in table.far)
+            moments, decay, exps = zip(*([np.concatenate(pair, axis=-1) for pair in zip(*table.far_block(b))]
+                                         for b in range(len(table.far))))
             lengths = np.diff(u[B::B][:len(moments) + 1])  # of blocks 1, 2, ...
             s, _ = _exp_sum(e, float(lengths.min()), u[-1] - u[0])
-            counts = [block.shape[1] for block in at_row]  # N_k of row blocks 2, 3, ...
+            counts = [block.shape[1] for block in exps]  # N_k of row blocks 2, 3, ...
             assert counts == np.searchsorted(s, _EXP_CUT / lengths, side="right").tolist()
             # far block b = k - 2 keeps the exponentials of row block k, its nearest reader
             assert [m.shape for m in moments] == [(B + 1, N) for N in counts]
@@ -483,42 +489,50 @@ class TestCompressedLeftKernel:
         B, n = _BLOCK, 3 * _BLOCK + 5
         g = make_graded_grid(_families()["hk"], n)
         _kernel_rows(g, _plain_kernel(0.5), "left", 0, n, np.ones(n + 1))
-        [table] = g._cache.values()
+        table = g._cache[("left", _plain_kernel(0.5))]
+        assert list(g._cache) == ["left", ("left", _plain_kernel(0.5))] and table.field is g._cache["left"]
         row_counts = [B, B, B, 5]
         assert [block.shape[0] for block in table.band] == row_counts
-        # far block b holds the exponentials of row block b + 2
-        assert [at_row.shape[0] for _, _, at_row in table.far] == row_counts[2:]
+        # far block b holds the exponentials of row block b + 2, in the table and its side's field
+        for far in (table.far, table.field.far):
+            assert [exps.shape[0] for _, _, exps in far] == row_counts[2:]
 
     def test_an_apply_reuses_the_blocks_its_grid_keeps(self, monkeypatch):
         # reconstruct at order 0.5 applies J^0.5 twice, inside D^0.5 and on
         # its result: a table that kept no blocks would build each one twice
         from hkfrac import operators
 
-        built = {"band": [], "far": []}
-        weight_rows, far_block = operators._weight_rows, operators._CompressedLeft.far_block
+        built = {"band": [], "far": [], "legendre": []}
+        weight_rows = operators._weight_rows
 
         def band(u, terms, r0, *args, **kwargs):
             built["band"].append(r0 // _BLOCK)
             return weight_rows(u, terms, r0, *args, **kwargs)
 
-        def far(self, b):
-            if self.far[b] is None:
-                built["far"].append(b)
-            return far_block(self, b)
+        def count_far_builds(cls, kind):
+            far_block = cls.far_block
+
+            def far(self, b):
+                if self.far[b] is None:
+                    built[kind].append(b)
+                return far_block(self, b)
+
+            monkeypatch.setattr(cls, "far_block", far)
 
         monkeypatch.setattr(operators, "_weight_rows", band)
-        monkeypatch.setattr(operators._CompressedLeft, "far_block", far)
+        count_far_builds(operators._CompressedLeft, "far")
+        count_far_builds(operators._FarField, "legendre")
         n = 1000
         g = make_graded_grid(make_params(0.5, 0.0, 2.0, 1.0, 2.0), n)
         z = g.nodes_z
         reconstruct(GridFn(g, -0.5, 0.8 + z**1.5), 0.5)
         blocks = -(-n // _BLOCK)
-        assert list(g._cache) == [("left", operators._plain_kernel(0.5))]
+        assert list(g._cache) == ["left", ("left", operators._plain_kernel(0.5))]
         assert sorted(built["band"]) == list(range(blocks))
-        assert sorted(built["far"]) == list(range(blocks - 2))
-        built = {"band": [], "far": []}
+        assert sorted(built["far"]) == sorted(built["legendre"]) == list(range(blocks - 2))
+        built = {"band": [], "far": [], "legendre": []}
         gfi_left(GridFn(g, 0.0, np.cos(z)), 0.5)
-        assert built == {"band": [], "far": []}
+        assert built == {"band": [], "far": [], "legendre": []}
 
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
@@ -631,14 +645,14 @@ class TestCompressedRightKernel:
 
     @pytest.mark.parametrize("order", [1.0, 1.4])
     def test_orders_of_one_and_above_take_the_dense_path(self, order):
-        from hkfrac.operators import _CompressedLeft, _kernel_rows, _plain_kernel, _weight_matrix
+        from hkfrac.operators import _CompressedLeft, _FarField, _kernel_rows, _plain_kernel, _weight_matrix
 
         g = make_graded_grid(make_params(0.5, 0.0, 2.0, 1.0, 2.0), 3 * _BLOCK + 5)
         f = GridFn(g, 0.0, 1.0 + g.nodes_z**2)
         got = gfi_right(f, order).values
         assert not g._cache  # dense rows are built per apply and kept nowhere
         _kernel_rows(g, _plain_kernel(0.5), "right", 0, g.n - 1, f.values[::-1])
-        assert [type(table) for table in g._cache.values()] == [_CompressedLeft]
+        assert [type(table) for table in g._cache.values()] == [_FarField, _CompressedLeft]
         want = _weight_matrix(g, _plain_kernel(order), left_sided=False) @ f.values
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
@@ -649,6 +663,64 @@ class TestCompressedRightKernel:
             g, f, got = cold_apply_within(gfi_right, order, 24 * 2**20)
             W = _weight_matrix(g, _plain_kernel(order), left_sided=False)
             np.testing.assert_allclose(got, W @ f.values, rtol=1e-13, atol=0.0)
+
+
+class TestSharedFarField:
+    """Every kernel order on one side of a grid shares the side's Legendre columns."""
+
+    @staticmethod
+    def _grid():
+        return make_graded_grid(make_params(0.3, 0.0, 2.0, 1.0, 2.0), 2048)
+
+    @pytest.mark.parametrize("op", [gfi_left, gfi_right])
+    def test_an_orders_values_do_not_depend_on_the_orders_applied_before(self, op):
+        def applied(orders):
+            g = self._grid()
+            f = GridFn(g, 0.0, np.cos(3.0 * g.nodes_z) + 1.0)
+            return {order: op(f, order).values for order in orders}
+
+        runs = applied((0.3, 0.7)), applied((0.7, 0.3)), applied((0.3,)), applied((0.7,))
+        for order in (0.3, 0.7):
+            got = [run[order] for run in runs if order in run]
+            assert all(np.array_equal(got[0], other) for other in got[1:])
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_the_second_order_on_a_side_builds_no_legendre_columns(self, side, monkeypatch):
+        from hkfrac import operators
+
+        columns = []
+        hat_moments = operators._hat_moments
+
+        def counted(h, s):
+            columns.append(s.size)
+            return hat_moments(h, s)
+
+        monkeypatch.setattr(operators, "_hat_moments", counted)
+        g = self._grid()
+        f = GridFn(g, 0.0, np.cos(3.0 * g.nodes_z) + 1.0)
+        op = gfi_left if side == "left" else gfi_right
+        op(f, 0.3)
+        first, columns[:] = list(columns), []
+        op(f, 0.7)
+        field = g._cache[side]
+        jacobi = [operators._EXP_SUM_NODES] * len(field.far)
+        # the first order builds its Jacobi and the side's Legendre columns, the second its Jacobi alone
+        assert sorted(first) == sorted(jacobi + field.counts) and min(field.counts) > jacobi[0]
+        assert columns == jacobi
+
+    def test_a_multi_order_apply_keeps_one_far_field(self):
+        # J^0.4 then D^(0.4,0.3) applies orders 0.4, 0.42 and 0.18 to one grid:
+        # a far field per order took 30.5 MB of tracemalloc peak here, one shared 20.1 MB
+        g = make_graded_grid(make_params(0.4, 0.3, 2.0, 1.0, 2.0), 4096)
+        f = GridFn(g, 0.0, np.cos(3.0 * g.nodes_z) + 1.0)
+        tracemalloc.start()
+        try:
+            hk_derivative(gfi_left(f, 0.4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert [key for key in g._cache if isinstance(key, str)] == ["left"]
 
 
 class TestPowerRuleAnalytic:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -274,6 +275,38 @@ class TestPicardSolve:
 
         with pytest.raises(DomainError, match=r"outside \|x\| <= 50"):
             picard_solve(CauchyProblem(p, rhs, 1.0, lipschitz=1.0), SolverConfig(n=256))
+
+    def test_a_scalar_rhs_is_that_constant_at_every_node(self):
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        config = SolverConfig(n=512)
+        got = picard_solve(CauchyProblem(p, lambda x, phi: 0.5, 1.0), config)
+        want = picard_solve(CauchyProblem(p, lambda x, phi: np.full_like(x, 0.5), 1.0), config)
+        assert len(got.iterations) > 1  # later subintervals freeze the constant too
+        assert np.array_equal(got.solution.regular_values, want.solution.regular_values)
+        assert got.iterations == want.iterations
+
+    def test_an_rhs_of_another_shape_is_refused_naming_its_shape(self):
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        prob = CauchyProblem(p, lambda x, phi: -phi[:, None], 1.0, lipschitz=1.0)
+        with pytest.raises(ValidationError) as excinfo:
+            picard_solve(prob, SolverConfig(n=512))
+        assert re.fullmatch(r"rhs returned shape \((\d+), 1\) on \1 nodes; it must return one value per "
+                            r"node, or a scalar \(subinterval 1, sweep 1\)", str(excinfo.value))
+
+    def test_a_source_of_another_length_is_refused_before_the_first_sweep(self):
+        p = make_params(0.5, 0.5, 2.0, 1.0, 2.0)
+        sweeps = []
+
+        def rhs(x, phi):
+            sweeps.append(len(x))
+            return -phi
+
+        prob = CauchyProblem(p, rhs, 1.0, lipschitz=1.0, source=lambda x, z: np.cos(x[1:]))
+        with pytest.raises(ValidationError) as excinfo:
+            picard_solve(prob, SolverConfig(n=512))
+        assert str(excinfo.value) == ("source returned shape (511,) on 512 nodes; it must return one value "
+                                      "per node, or a scalar (before the first sweep)")
+        assert sweeps == []
 
     def test_overflowing_iterates_fail_at_the_first_sweep(self):
         # every rhs value is finite, but the first sweep's integral overflows
@@ -601,8 +634,8 @@ class TestFrozenHistory:
         monkeypatch.setattr(solver, "_table",
                             lambda grid, terms, side, kept: operators._compressed(grid, terms, side))
         kept = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
-        [table] = kept.grid._cache.values()
-        assert all(block is not None for block in table.band + table.far)
+        table = kept.grid._cache[("left", _plain_kernel(problem.params.alpha))]
+        assert all(block is not None for block in table.band + table.far + table.field.far)
         assert np.array_equal(streamed.solution.regular_values, kept.solution.regular_values)
         assert streamed.iterations == kept.iterations
         assert streamed.residual_history == kept.residual_history

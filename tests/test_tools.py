@@ -37,6 +37,18 @@ def test_bench_tables_times_and_checks_a_cold_apply(bench_tables, side):
     assert 0.0 < accuracy["closed_form_gap"] <= 1e-4
 
 
+
+@pytest.mark.parametrize("config", [("J^0.4 D^(0.4,0.3) n=512", 0.4, 0.3, 2.0, 512, "J D"),
+                                    ("right 0.3 and 0.7 n=512", 0.3, 0.0, 2.0, 512, "right x2")])
+def test_bench_tables_times_and_checks_several_orders_on_one_grid(bench_tables, config):
+    assert {c[-1] for c in bench_tables.configs()} >= {config[-1]}
+    timed = bench_tables.cold_build(hkfrac, config)
+    assert timed["total"] > timed["band"] > 0.0 and timed["hat_moments"] > 0.0
+    assert bench_tables.cold_peak(hkfrac, config) > 0.0
+    accuracy = bench_tables.accuracy(hkfrac, config)
+    assert 0.0 < accuracy["band_error"] <= 1e-13
+    assert 0.0 < accuracy["closed_form_gap"] <= 1e-3
+
 @pytest.fixture
 def bench_series(monkeypatch):
     mpmath = pytest.importorskip("mpmath")

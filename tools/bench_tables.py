@@ -5,8 +5,8 @@ Two packages are imported side by side: this checkout's ``src/hkfrac`` as
 "change" and the ``hkfrac`` under ``--parent`` (a ``src`` directory) as
 "parent".  For each configuration a fresh grid is made and one vector
 applied through ``operators._kernel_rows``, whose first call builds the
-grid's ``_compressed`` table, on both packages in alternation, ``--reps``
-times each.  The module's ``_weight_rows`` and ``_hat_moments`` are wrapped
+grid's ``_compressed`` table, or several orders applied to the one grid, on
+both packages in alternation, ``--reps`` times each.  The module's ``_weight_rows`` and ``_hat_moments`` are wrapped
 in timers during the apply, which splits it into the near band, the hat
 moments and the rest (the exponentials, the table assembly, the sum of
 exponentials itself and the apply).  The script prints one JSON object with
@@ -19,6 +19,10 @@ exponentials itself and the apply).  The script prints one JSON object with
     the left kernel of order alpha that ``picard_solve`` builds;
   - alpha in {0.1, 0.5} (beta = 0, rho = 2) at n in {4096, 16384}, left and
     right kernels of order alpha;
+  - several orders on one grid (rho = 2) at n in {4096, 16384}: J^0.4
+    followed by D^(0.4,0.3) (``gfi_left`` then ``hk_derivative``, left
+    kernels of orders 0.4, 0.42 and 0.18) on 1 + z, and the right kernels of
+    orders 0.3 and 0.7 on a grid of alpha = 0.3;
   every grid on [1, 2] with the default grading;
 * ``sums``: the medians summed over the solve-mild configurations;
 * ``accuracy``, per configuration and package:
@@ -27,7 +31,10 @@ exponentials itself and the apply).  The script prints one JSON object with
     the first band block past node 0, mid-grid and at the end;
   - ``closed_form_gap``: the largest error of ``gfi_left`` (left) or
     ``gfi_right`` (right) of order alpha on z^1.5 or (z_n - z)^1.5 against
-    the power rule, relative to its largest value.
+    the power rule, relative to its largest value; for J^0.4 followed by
+    D^(0.4,0.3) the same of D^(0.4,0.3) J^0.4 z^1.5 against z^1.5, and for
+    two right orders the larger of their two gaps.
+  On several orders, ``band_error`` is that of the first order's table.
 
 Run from the repository root:
     python3 tools/bench_tables.py --parent ../parent/src > tables.json
@@ -61,18 +68,37 @@ TIMED = ("_weight_rows", "_hat_moments")
 
 
 def configs() -> list:
-    """(name, alpha, beta, rho, n, side) of every configuration timed."""
+    """(name, alpha, beta, rho, n, side) of every configuration timed; ``cold_apply`` reads side."""
     out = [(f"solve-mild {fam.name} n={n}", fam.alpha, fam.beta, fam.rho, n, "left")
            for fam in MILD_FAMILIES for n in MILD_SIZES]
     out += [(f"alpha={alpha} n={n} {side}", alpha, 0.0, 2.0, n, side)
             for alpha in (0.1, 0.5) for n in (4096, 16384) for side in ("left", "right")]
+    for n in (4096, 16384):
+        out += [(f"J^0.4 D^(0.4,0.3) n={n}", 0.4, 0.3, 2.0, n, "J D"),
+                (f"right 0.3 and 0.7 n={n}", 0.3, 0.0, 2.0, n, "right x2")]
     return out
 
 
-def cold_apply(ops, grid, alpha: float, side: str) -> None:
-    """One side's kernel of order alpha on ones at every node; the first apply builds the grid's table."""
+def orders(alpha: float, side: str) -> tuple:
+    """The side of the kernels and the orders a "left", "right" or "right x2" configuration applies."""
+    return ("right", (alpha, 1.0 - alpha)) if side == "right x2" else (side, (alpha,))
+
+
+def cold_apply(pkg, grid, alpha: float, side: str) -> None:
+    """A configuration's applies on a fresh grid; the first apply of each kernel builds its table.
+
+    "left" and "right" apply that side's kernel of order alpha to ones at
+    every node, "right x2" the right kernels of orders alpha and 1 - alpha,
+    and "J D" applies J^alpha and then D^(alpha,beta) of the grid to 1 + z.
+    """
+    if side == "J D":
+        pkg.hk_derivative(pkg.gfi_left(pkg.GridFn(grid, 0.0, 1.0 + grid.nodes_z), alpha))
+        return
+    ops = pkg.operators
+    side, applied = orders(alpha, side)
     m = grid.n + (side == "left")  # the left nodes are [0, z_1, ..., z_n]
-    ops._kernel_rows(grid, ops._plain_kernel(alpha), side, 0, m - 1, np.ones(m))
+    for order in applied:
+        ops._kernel_rows(grid, ops._plain_kernel(order), side, 0, m - 1, np.ones(m))
 
 
 def cold_build(pkg, config) -> dict:
@@ -96,7 +122,7 @@ def cold_build(pkg, config) -> dict:
         setattr(ops, name, timer(name, fn))
     try:
         t0 = time.perf_counter()
-        cold_apply(ops, grid, alpha, side)
+        cold_apply(pkg, grid, alpha, side)
         total = time.perf_counter() - t0
     finally:
         for name, fn in originals.items():
@@ -112,7 +138,7 @@ def cold_peak(pkg, config) -> float:
     grid = pkg.make_graded_grid(pkg.make_params(alpha, beta, rho, A, B), n)
     tracemalloc.start()
     try:
-        cold_apply(pkg.operators, grid, alpha, side)
+        cold_apply(pkg, grid, alpha, side)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
@@ -139,12 +165,13 @@ def mp_band_row(u: np.ndarray, coef: float, e: float, i: int, col0: int) -> np.n
 
 
 def accuracy(pkg, config) -> dict:
-    _, alpha, beta, rho, n, side = config
+    _, alpha, beta, rho, n, applies = config
     ops = pkg.operators
     grid = pkg.make_graded_grid(pkg.make_params(alpha, beta, rho, A, B), n)
     [(coef, e)] = ops._plain_kernel(alpha)
+    side, applied = orders(alpha, "left" if applies == "J D" else applies)
     u = ops._left_nodes(grid) if side == "left" else ops._right_nodes(grid)
-    cold_apply(ops, grid, alpha, side)  # builds every block of the table
+    cold_apply(pkg, grid, alpha, applies)  # builds every block of the tables
     table, blk = ops._compressed(grid, ops._plain_kernel(alpha), side), ops._BLOCK
     worst = 0.0
     for i in (blk + blk // 2, table.n // 2, table.n - 1):
@@ -154,14 +181,15 @@ def accuracy(pkg, config) -> dict:
         got = table.band[k][i - k * blk, :want.size]
         worst = max(worst, float(np.max(np.abs(got - want) / np.abs(want))))
     z = grid.nodes_z
-    power = math.gamma(2.5) / math.gamma(2.5 + alpha)
-    if side == "left":
-        got = pkg.gfi_left(pkg.GridFn(grid, 0.0, z**1.5), alpha).values
-        want = power * z ** (1.5 + alpha)
+    if applies == "J D":
+        f = pkg.GridFn(grid, 0.0, z**1.5)
+        pairs = [(pkg.hk_derivative(pkg.gfi_left(f, alpha)).values, z**1.5)]
     else:
-        got = pkg.gfi_right(pkg.GridFn(grid, 0.0, (z[-1] - z) ** 1.5), alpha).values
-        want = power * (z[-1] - z) ** (1.5 + alpha)
-    gap = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+        w = z if side == "left" else z[-1] - z
+        op = pkg.gfi_left if side == "left" else pkg.gfi_right
+        pairs = [(op(pkg.GridFn(grid, 0.0, w**1.5), order).values,
+                  math.gamma(2.5) / math.gamma(2.5 + order) * w ** (1.5 + order)) for order in applied]
+    gap = max(float(np.max(np.abs(got - want)) / np.max(np.abs(want))) for got, want in pairs)
     return {"band_error": worst, "closed_form_gap": gap}
 
 
