@@ -41,17 +41,17 @@ band part ``_CompressedLeft.near`` plus the far rows of a ``_History``, the
 one code that folds moments; both read the values from node 0.  A table
 builds each block when a walk first needs it.  The operators' table, cached
 on the grid per side and kernel (``_compressed``), keeps every block, so
-O(n N_k) memory.  Of a far block only the _EXP_SUM_NODES Gauss-Jacobi
-columns and the weights om depend on the kernel's order: its Legendre
-columns (moments, decays and exponential rows, most of the far field) depend
-on the nodes alone.  So the grid keeps them once per side (``_FarField``),
-shared by the tables of every order, and om enters in the fold, far rows =
-exps @ (om M): J^(beta(1-alpha)) delta J^((1-beta)(1-alpha)) on one grid
-keeps one far field, not one per order.  The Picard solver calls both parts
-itself on a table of its own (``_table``), with a field of its own, that
-keeps a band block until the solve has passed it and no far block: its
-subintervals end within ``_band_reach``, so their far rows stay fixed, and
-a sweep makes one band call on its integrand.
+O(n N_k) memory.  The exponentials' nodes, fixed Chebyshev points on the
+low band, are every kernel order's (``_exp_nodes``): only their weights om
+carry the order.  So a far block (moments, decays and exponential rows)
+depends on the nodes u alone, the grid keeps one far field per side
+(``_FarField``) for the tables of every order, and om enters in the fold,
+far rows = exps @ (om M): J^(beta(1-alpha)) delta J^((1-beta)(1-alpha)) on
+one grid keeps one far field, not one per order.  The Picard solver calls
+both parts itself on a table of its own (``_table``), with a field of its
+own, that keeps a band block until the solve has passed it and no far
+block: its subintervals end within ``_band_reach``, so their far rows stay
+fixed, and a sweep makes one band call on its integrand.
 
 Pure-power inputs (constant regular part) bypass quadrature entirely via the
 analytic rules, which keeps identities like D^a z^(a-1) = 0 exact rather
@@ -227,7 +227,7 @@ def _weight_matrix(grid: Grid, terms: KernelTerms, left_sided: bool) -> np.ndarr
 _BLOCK = 64
 _PAST = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)  # [r, c]: panel r0 + c is past row r0 + r
 # Relative error of the sum of exponentials that replaces the kernel in the
-# far field; each of its Gauss rules has one node per decade of it.
+# far field; each of its two rules has one node per decade of it.
 _EXP_SUM_TOL = 1e-14
 _EXP_SUM_NODES = math.ceil(-math.log10(_EXP_SUM_TOL))
 # Nodes with s delta above it have exp(-s w) < _EXP_SUM_TOL/20 at every w >= delta.
@@ -236,57 +236,80 @@ _EXP_CUT = 3.0 - math.log(_EXP_SUM_TOL)
 _FAR_SERIES = np.array([1.0 / (math.factorial(m) * (m + 2)) for m in range(18)])
 
 
-@lru_cache(maxsize=64)
-def _gauss_jacobi(e: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the Gauss rule for the weight (1 + x)^(-e) on [-1, 1], 0 <= e < 1.
+def _legendre(x: np.ndarray, m: int) -> np.ndarray:
+    """P_k(x), k < m, as rows, by the three-term recurrence of the Legendre polynomials."""
+    P = np.empty((m, x.size))
+    P[0], P[1] = 1.0, x
+    for k in range(1, m - 1):
+        P[k + 1] = ((2.0 * k + 1.0) * x * P[k] - k * P[k - 1]) / (k + 1.0)
+    return P
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
-    weight's orthogonal polynomials, the weights int (1 + x)^(-e) dx =
-    2^(1-e)/(1-e) times the squared first eigenvector components.  e = 0 is
-    Gauss-Legendre.
+
+@lru_cache(maxsize=1)
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, ascending, and weights 2/((1 - x^2) P_m'(x)^2) of the m-point Gauss-Legendre rule.
+
+    Newton's method on P_m; at m = 14 its fourth step moves x by 5e-16.
+    Made on first use: made at import with the Chebyshev points, it mapped
+    0.5 MB of code into processes that apply no compressed kernel, and
+    leggauss's import or Golub-Welsch's eigh maps 0.75 or 0.9 MB into each.
+    """
+    x = -np.cos(np.pi * (np.arange(m) + 0.75) / (m + 0.5))
+    for _ in range(6):
+        P = _legendre(x, m + 1)
+        slope = m * (x * P[m] - P[m - 1]) / (x * x - 1.0)
+        x = x - P[m] / slope
+    return x, 2.0 / ((1.0 - x * x) * slope**2)
+
+
+def _chebyshev(m: int) -> np.ndarray:
+    """The m Chebyshev points on [-1, 1], ascending: the low band's nodes for every order."""
+    return -np.cos(np.pi * (np.arange(m) + 0.5) / m)
+
+
+def _low_weights(e: float) -> np.ndarray:
+    """w with sum_l w_l p(x_l) = int_-1^1 ((1 + x)/2)^(-e) p(x) dx at the m Chebyshev points, deg p < m.
+
+    m = _EXP_SUM_NODES.  One solve against the exact moments of P_k, 2/(1 -
+    e) prod_(j<k) (-e - j)/(-e + j + 2).  On s w <= 1 the interpolant of
+    exp(-s w) errs by at most 2^(1-2m)/m! = 9e-21, so the rule is exact to
+    rounding at every order (Gauss-Legendre nodes: 1.1e-14 at e = 0.999).
     """
     m = _EXP_SUM_NODES
-    k = np.arange(1.0, m)
-    diag = np.empty(m)
-    diag[0] = -e / (2.0 - e)
-    diag[1:] = e * e / ((2.0 * k - e) * (2.0 * k - e + 2.0))
-    off = 2.0 * k * (k - e) / ((2.0 * k - e) * np.sqrt((2.0 * k - e + 1.0) * (2.0 * k - e - 1.0)))
-    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    w = 2.0 ** (1.0 - e) / (1.0 - e) * vecs[0] ** 2
-    x.setflags(write=False)  # cached: shared by every caller
-    w.setflags(write=False)
-    return x, w
+    j = np.arange(m - 1.0)
+    moments = 2.0 / (1.0 - e) * np.concatenate(([1.0], np.cumprod((-e - j) / (-e + j + 2.0))))
+    return np.linalg.solve(_legendre(_chebyshev(m), m), moments)
 
 
-def _log_panels(delta: float, z_top: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes y = log s, ascending, and weights, panels of width 2 from 1/z_top to _EXP_CUT/delta."""
+def _exp_nodes(delta: float, z_top: float) -> tuple[np.ndarray, np.ndarray]:
+    """Every order's nodes s on [delta, z_top], ascending, and the log panels' weights in y = log s.
+
+    The Chebyshev points mapped by s = (1 + x)/(2 z_top) onto (0, 1/z_top],
+    then Gauss-Legendre panels of width 2 in y from 1/z_top to _EXP_CUT/delta.
+    """
+    m = _EXP_SUM_NODES
     lo, hi = -math.log(z_top), math.log(_EXP_CUT / delta)
     edges = np.linspace(lo, hi, math.ceil((hi - lo) / 2.0) + 1)
-    nodes, weights = _gauss_jacobi(0.0)
+    nodes, weights = _gauss_legendre(m)
     half = 0.5 * np.diff(edges)[:, None]
     y = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * nodes
-    return y.ravel(), (half * weights).ravel()
+    return np.concatenate((0.5 * (1.0 + _chebyshev(m)) / z_top, np.exp(y.ravel()))), (half * weights).ravel()
 
 
 def _exp_sum(e: float, delta: float, z_top: float, coef: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Ascending nodes s, weights om: coef w^(e-1) ~ sum_l om_l exp(-s_l w) on [delta, z_top].
 
     The quadrature of w^(e-1) = 1/Gamma(1-e) int_0^inf s^(-e) exp(-s w) ds of
-    Jiang, Zhang, Zhang & Zhang (CiCP 21 (2017) 650): _EXP_SUM_NODES
-    Gauss-Jacobi nodes with the weight s^(-e) on [0, 1/z_top], where s w <=
-    1, then the ``_log_panels`` in log s up to the s where exp(-s delta) is
-    below the tolerance.  The error falls about tenfold per node of each
-    rule, so _EXP_SUM_NODES = -log10(_EXP_SUM_TOL) nodes per rule hold the
-    relative error below it.  Only the Jacobi part and om depend on e: the
-    Legendre nodes are those of every order on the same nodes.
+    Jiang, Zhang, Zhang & Zhang (CiCP 21 (2017) 650) at the ``_exp_nodes``:
+    on [0, 1/z_top], where s w <= 1, the rule of ``_low_weights`` for the
+    weight s^(-e), then Gauss-Legendre in log s up to the s where exp(-s
+    delta) is below the tolerance.  The error falls about tenfold per node of
+    each rule, so _EXP_SUM_NODES = -log10(_EXP_SUM_TOL) nodes per rule hold
+    the relative error below it.  Only om depends on e.
     """
-    # s = (1 + x)/(2 z_top) maps the weight (1 + x)^(-e) to (2 z_top)^e s^(-e)
-    x, w = _gauss_jacobi(e)
-    s_jac = 0.5 * (1.0 + x) / z_top
-    om_jac = w * (2.0 * z_top) ** (e - 1.0)
-    y, weights = _log_panels(delta, z_top)
-    s = np.concatenate((s_jac, np.exp(y)))
-    om = np.concatenate((om_jac, weights * np.exp((1.0 - e) * y)))
+    s, weights = _exp_nodes(delta, z_top)
+    # s = (1 + x)/(2 z_top) maps ((1 + x)/2)^(-e) dx to 2 z_top^(1-e) s^(-e) ds
+    om = np.concatenate((_low_weights(e) * (0.5 * z_top ** (e - 1.0)), weights * s[_EXP_SUM_NODES:] ** (1.0 - e)))
     return s, om / math.gamma(1.0 - e) * coef
 
 
@@ -356,17 +379,16 @@ def _far_columns(u: np.ndarray, b: int, end: float, step: float, s: np.ndarray) 
 
 
 class _FarField:
-    """The part of a side's far field that no kernel order enters: its Gauss-Legendre columns.
+    """A side's far field: every far block's ``_far_columns``, which no kernel order enters.
 
-    In ``_exp_sum`` only the _EXP_SUM_NODES Gauss-Jacobi nodes and the
-    weights om depend on the order; the Legendre nodes s depend on the nodes
-    u alone (the least block length delta and z_top), and with them the count
-    N_k of row block k, the nodes with s delta_k <= _EXP_CUT, and every
-    ``_far_columns`` array.  ``far_block`` builds far block b's Legendre
-    columns, the N_(b+2) of its nearest reader, the first time a table of any
-    order folds it, and holds them if ``kept``.  The grid keeps one per side
-    for the operators' tables (``_table``); the Picard solver makes a private
-    one that holds nothing.
+    In ``_exp_sum`` only the weights om depend on the order: the
+    ``_exp_nodes`` s, and with them the count N_k of row block k (the nodes
+    with s delta_k <= _EXP_CUT) and every ``_far_columns`` array, depend on
+    the nodes u alone.  ``far_block`` builds far block b, the N_(b+2)
+    columns of its nearest reader, the first time a table of any order folds
+    it, and holds it if ``kept``.  The grid keeps one per side for the
+    operators' tables (``_table``); the Picard solver makes a private one that
+    holds nothing.
     """
 
     def __init__(self, u: np.ndarray, kept: bool):
@@ -380,12 +402,12 @@ class _FarField:
         self.ends = u[B:(n_far + 2) * B:B]  # E_0 .. E_(n_far)
         lengths = np.diff(self.ends)  # delta_k of row blocks k = 2 .. n_far + 1
         self.delta = float(np.min(lengths))
-        self.s = np.exp(_log_panels(self.delta, u[-1] - u[0])[0])
+        self.s = _exp_nodes(self.delta, u[-1] - u[0])[0]
         self.counts = np.searchsorted(self.s, _EXP_CUT / lengths, side="right").tolist()  # N_k
         self.steps = np.diff(self.ends[:n_far], prepend=u[0])
 
     def far_block(self, b: int) -> tuple:
-        """Far block b's Legendre ``_far_columns``, built on first use, held if kept."""
+        """Far block b's ``_far_columns``, built on first use, held if kept."""
         if self.far[b] is None:
             block = _far_columns(self.u, b, self.ends[b], self.steps[b], self.s[:self.counts[b]])
             if not self.kept:
@@ -403,53 +425,44 @@ class _CompressedLeft:
     keeps the exact product-integration weights of blocks k-1 and k: row i -
     k B of ``band[k]``, whose column 0 is node (k-1) B (node 0 for k < 2).
     Blocks <= k-2 lie at least delta_k, the length of block k-1, from the
-    row, so it keeps the nodes with s delta_k <= _EXP_CUT (sized per cluster
-    as in McLean, SISC 34 (2012) A3039): every Gauss-Jacobi node, which lie
-    below 1/z_top, and N_k Legendre nodes.  Its far integral is a_i @ (om
-    M(k)), with a_i = exp(-s (z_i - E_(k-2))) row i - k B of far block k-2's
-    ``exps``, E_b the node ending block b, and M(k) the moments of the linear
+    row, so it keeps the N_k nodes with s delta_k <= _EXP_CUT (sized per
+    cluster as in McLean, SISC 34 (2012) A3039; the low nodes lie below
+    1/z_top and are always kept).  Its far integral is a_i @ (om M(k)), with
+    a_i = exp(-s (z_i - E_(k-2))) row i - k B of far block k-2's ``exps``,
+    E_b the node ending block b, and M(k) the moments of the linear
     interpolant against exp(-s (E_(k-2) - u)) over blocks <= k-2: M(k) =
     decay M(k-1) + moments @ v, where far block b = k-2's ``moments`` map its
     B + 1 node values to their moments referred to E_b and its ``decay`` is
     exp(-s (E_b - E_(b-1))).  Every factor is exp(-s d), d >= 0.  Far block b
-    keeps the N_(b+2) Legendre columns of its nearest reader: every row that
-    reads it lies delta_(b+2) or more past its end, where a node with s
-    delta_(b+2) > _EXP_CUT is below the sum's tolerance.  So M(k) is zero
-    from Legendre column N_k on, on both sides.
+    keeps the N_(b+2) columns of its nearest reader: every row that reads it
+    lies delta_(b+2) or more past its end, where a node with s delta_(b+2) >
+    _EXP_CUT is below the sum's tolerance.  So M(k) is zero from column N_k
+    on, on both sides.
 
-    None of this but the Jacobi nodes and om depends on the order, so a far
-    block is two ``_far_columns``: ``far[b]``, the table's own, at its Jacobi
-    nodes, and the Legendre columns of the ``_FarField`` ``field`` that every
-    order's table on the same nodes shares.  om enters only in the fold
-    (``_History``): ``om`` is om's Jacobi and Legendre parts.
+    None of this but om depends on the order: the far blocks are the
+    ``_FarField`` ``field`` that every order's table on the nodes shares, and
+    the table holds its band blocks and ``om``, which enters in the fold.
 
     Construction sizes the table and builds no block.  A walk builds each
-    block the first time it needs it, each kind in one method: ``reach`` the
-    band blocks of a start's rows, ``far_block`` a far block as a
-    ``_History`` folds it.  ``near`` applies the band.  Each block is an
-    array of its own (n-row tables of 4-5 MB at n = 4096 landed in whatever
-    heap hole the last solve left, and moved peak RSS by 2.7 MB).  What a
-    table holds is its field's ``kept``: a kept one, cached on the grid for
-    the operators (``_compressed``), every block it has built; the Picard
-    solver's own, each band block until its walk has passed it and no far
-    block, so O(B max N_k) memory instead of O(n (B + N_k)), 6 MB of RSS in
-    place of 175 MB at n = 65536.
+    band block the first time it needs it, in ``reach``, and each far block
+    in the field's ``far_block`` as a ``_History`` folds it.  ``near``
+    applies the band.  Each block is an array of its own (n-row tables of 4-5
+    MB at n = 4096 landed in whatever heap hole the last solve left, and
+    moved peak RSS by 2.7 MB).  What a table holds is its field's ``kept``: a
+    kept one, cached on the grid for the operators (``_compressed``), every
+    block it has built; the Picard solver's own, each band block until its
+    walk has passed it and no far block, so O(B max N_k) memory instead of
+    O(n (B + N_k)), 6 MB of RSS in place of 175 MB at n = 65536.
     """
 
     def __init__(self, field: _FarField, terms: KernelTerms):
-        B = _BLOCK
         self.field, self.u, self.terms, self.kept = field, field.u, terms, field.kept
         self.n = self.u.size - 1
-        self.blocks = -(-self.n // B)
+        self.blocks = -(-self.n // _BLOCK)
         self.band = [None] * self.blocks  # each row block's, while held
-        self.far = [None] * len(field.far)  # each far block's Jacobi columns, while held
-        self.counts = field.counts
-        if not self.far:
-            return
-        [(coef, e)] = terms
-        s, om = _exp_sum(e, field.delta, self.u[-1] - self.u[0], coef)
-        m = _EXP_SUM_NODES
-        self.s, self.om = s[:m], (om[:m], om[m:])  # the Jacobi nodes; om's Jacobi and Legendre parts
+        if field.far:
+            [(coef, e)] = terms
+            self.om = _exp_sum(e, field.delta, self.u[-1] - self.u[0], coef)[1]
 
     def reach(self, start: int, scratch: np.ndarray) -> None:
         """Build the band blocks of rows [start, _band_reach(start)) that are missing.
@@ -467,19 +480,6 @@ class _CompressedLeft:
                 r0, r1 = k * B, min(k * B + B, self.n)
                 self.band[k] = _weight_rows(self.u, self.terms, r0, r1, np.zeros((r1 - r0, 2 * B + 1)),
                                             scratch, col0=max(r0 - B, 0))
-
-    def far_block(self, b: int) -> tuple:
-        """Far block b's ``_far_columns`` at the Jacobi nodes, then at the field's Legendre nodes.
-
-        Each part is built on first use and held if kept.
-        """
-        field = self.field
-        jacobi = self.far[b]
-        if jacobi is None:
-            jacobi = _far_columns(self.u, b, field.ends[b], field.steps[b], self.s)
-            if self.kept:
-                self.far[b] = jacobi
-        return jacobi, field.far_block(b)
 
     def near(self, r0: int, r1: int, values: np.ndarray) -> np.ndarray:
         """Rows [r0, r1) of the operator on ``values`` at nodes 0, 1, ..., from the bands alone.
@@ -510,33 +510,31 @@ class _History:
     far block into M(k) once and writes the far rows of each row block k <=
     start // _BLOCK + 1 once: their far panels end by node start, so only
     v[:start + 1] must be final (the marching history of Jiang, Zhang, Zhang
-    & Zhang, CiCP 21 (2017) 650).  The Jacobi and the Legendre part of M(k)
-    fold apart, and each part's rows are exps @ (om M(k)): an order's far rows
-    are the same arithmetic whichever order built the shared columns.
-    ``near`` on the same v adds the band rows.  The walk's band builds share
-    ``scratch``: fresh temporaries per block, freed at the top of the heap,
-    were handed back to the kernel and faulted in again, 50000 page faults
-    per round of 15 solves.
+    & Zhang, CiCP 21 (2017) 650).  The field's far blocks carry no weight:
+    M(k) folds the node values alone, and the rows are exps @ (om M(k)), so
+    an order's far rows are the same arithmetic whichever order built the
+    shared blocks.  ``near`` on the same v adds the band rows.  The walk's
+    band builds share ``scratch``: fresh temporaries per block, freed at the
+    top of the heap, were handed back to the kernel and faulted in again,
+    50000 page faults per round of 15 solves.
     """
 
     def __init__(self, table: _CompressedLeft):
         self.table = table
         self.k, self.far = 2, np.zeros(table.n)
-        self.M = np.zeros(_EXP_SUM_NODES), np.zeros(max(table.counts, default=0))
+        self.M = np.zeros(max(table.field.counts, default=0))
         self.scratch = np.empty((8, _BLOCK, 2 * _BLOCK))
 
     def advance(self, v: np.ndarray, start: int) -> None:
-        B, table = _BLOCK, self.table
+        B, table, M = _BLOCK, self.table, self.M
         table.reach(start, self.scratch)
         for k in range(self.k, min(start // B + 2, table.blocks)):
             # M(k) from M(k - 1) and far block k - 2, then the far rows of block k
-            seg, rows = v[(k - 2) * B:(k - 1) * B + 1], self.far[k * B:(k + 1) * B]
-            rows.fill(0.0)
-            for (moments, decay, exps), M, om in zip(table.far_block(k - 2), self.M, table.om):
-                N = decay.size
-                M[N:] = 0.0
-                M[:N] = decay * M[:N] + seg @ moments
-                rows += exps @ (om[:N] * M[:N])
+            moments, decay, exps = table.field.far_block(k - 2)
+            N = decay.size
+            M[N:] = 0.0
+            M[:N] = decay * M[:N] + v[(k - 2) * B:(k - 1) * B + 1] @ moments
+            self.far[k * B:(k + 1) * B] = exps @ (table.om[:N] * M[:N])
             self.k = k + 1
 
 
@@ -582,8 +580,8 @@ def _kernel_rows(grid: Grid, terms: KernelTerms, side: str, r0: int, r1: int,
         for start in range(0, table.n, 2 * _BLOCK):
             table.reach(start, scratch)
         del scratch  # free for the far blocks' temporaries
-        for b in range(len(table.far)):
-            table.far_block(b)
+        for b in range(len(table.field.far)):
+            table.field.far_block(b)
         history = _History(table)
         history.advance(values, table.n)
         return table.near(r0, r1, values) + history.far[r0:r1]

@@ -296,7 +296,8 @@ def _families():
 class TestCompressedLeftKernel:
     """Exact near weights plus a sum-of-exponentials far field, against the dense matrix."""
 
-    @pytest.mark.parametrize("e", [0.1, 0.3, 0.5, 0.7, 0.9])
+    # as e -> 1 the low band carries most of the sum
+    @pytest.mark.parametrize("e", [0.1, 0.3, 0.5, 0.7, 0.9, 0.001, 0.99, 0.999])
     @pytest.mark.parametrize("delta, z_top", [(1e-3, 1.0), (2e-8, 2.5), (1e-12, 0.7)])
     def test_exp_sum_meets_its_relative_bound(self, e, delta, z_top):
         from hkfrac.operators import _EXP_SUM_TOL, _exp_sum
@@ -305,6 +306,13 @@ class TestCompressedLeftKernel:
         w = np.geomspace(delta, z_top, 3000)
         approx = np.exp(-np.outer(w, s)) @ om
         assert np.max(np.abs(approx / w ** (e - 1.0) - 1.0)) <= _EXP_SUM_TOL
+
+    def test_the_log_panels_rule_is_numpys_gauss_legendre(self):
+        from hkfrac.operators import _EXP_SUM_NODES, _gauss_legendre
+
+        x, w = np.polynomial.legendre.leggauss(_EXP_SUM_NODES)
+        got_x, got_w = _gauss_legendre(_EXP_SUM_NODES)
+        assert np.max(np.abs(got_x - x)) <= 4e-16 and np.max(np.abs(got_w / w - 1.0)) <= 2e-14
 
     def test_hat_moments_match_high_precision(self):
         mpmath = pytest.importorskip("mpmath")
@@ -456,6 +464,23 @@ class TestCompressedLeftKernel:
         ):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("order", [1e-6, 0.05, 0.999, 0.999999])
+    def test_both_sides_match_the_dense_oracle_at_the_extreme_orders(self, order):
+        # the left apply adds the closed-form core of the leading value, as gfi_left does
+        from hkfrac.operators import _core_convolution, _plain_kernel, _weight_matrix
+
+        g = make_graded_grid(make_params(0.3, 0.0, 2.0, 1.0, 2.0), 2048)
+        z = g.nodes_z
+        f = GridFn(g, 0.0, np.cos(3.0 * z) + 1.0)
+        terms, lead = _plain_kernel(order), float(f.regular_values[0])
+        residual = np.concatenate(([0.0], f.values - lead * z**f.sigma))
+        left = lead * _core_convolution(terms, f.sigma, z) + _weight_matrix(g, terms, True) @ residual
+        for got, want in (
+            (gfi_left(f, order).values, left),
+            (gfi_right(f, order).values, _weight_matrix(g, terms, False) @ f.values),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_each_row_block_keeps_the_exponentials_its_distance_needs(self):
         from hkfrac.operators import (
             _EXP_CUT, _EXP_SUM_NODES, _exp_sum, _left_nodes, _plain_kernel, _right_nodes,
@@ -464,15 +489,17 @@ class TestCompressedLeftKernel:
         B, e = _BLOCK, 0.1
         g = make_graded_grid(make_params(e, 0.0, 2.0, 1.0, 2.0), 2048)
         for side, u in (("left", _left_nodes(g)), ("right", _right_nodes(g))):
-            table = walked_table(g, _plain_kernel(e), side)
-            # far block b's Jacobi columns, the table's own, beside its side's Legendre columns
-            assert all(exps.shape[1] == _EXP_SUM_NODES for _, _, exps in table.far)
-            moments, decay, exps = zip(*([np.concatenate(pair, axis=-1) for pair in zip(*table.far_block(b))]
-                                         for b in range(len(table.far))))
+            field = walked_table(g, _plain_kernel(e), side).field
+            moments, decay, exps = zip(*(field.far_block(b) for b in range(len(field.far))))
             lengths = np.diff(u[B::B][:len(moments) + 1])  # of blocks 1, 2, ...
             s, _ = _exp_sum(e, float(lengths.min()), u[-1] - u[0])
+            # the field's nodes are every order's
+            assert np.array_equal(field.s, s)
+            assert np.array_equal(_exp_sum(0.7, float(lengths.min()), u[-1] - u[0])[0], s)
             counts = [block.shape[1] for block in exps]  # N_k of row blocks 2, 3, ...
             assert counts == np.searchsorted(s, _EXP_CUT / lengths, side="right").tolist()
+            # every far block keeps the low nodes, which lie at or below 1/z_top
+            assert s[_EXP_SUM_NODES - 1] * (u[-1] - u[0]) <= 1.0 and min(counts) > _EXP_SUM_NODES
             # far block b = k - 2 keeps the exponentials of row block k, its nearest reader
             assert [m.shape for m in moments] == [(B + 1, N) for N in counts]
             assert [d.size for d in decay] == counts
@@ -493,35 +520,30 @@ class TestCompressedLeftKernel:
         assert list(g._cache) == ["left", ("left", _plain_kernel(0.5))] and table.field is g._cache["left"]
         row_counts = [B, B, B, 5]
         assert [block.shape[0] for block in table.band] == row_counts
-        # far block b holds the exponentials of row block b + 2, in the table and its side's field
-        for far in (table.far, table.field.far):
-            assert [exps.shape[0] for _, _, exps in far] == row_counts[2:]
+        # far block b holds the exponentials of row block b + 2, in its side's field
+        assert [exps.shape[0] for _, _, exps in table.field.far] == row_counts[2:]
 
     def test_an_apply_reuses_the_blocks_its_grid_keeps(self, monkeypatch):
         # reconstruct at order 0.5 applies J^0.5 twice, inside D^0.5 and on
         # its result: a table that kept no blocks would build each one twice
         from hkfrac import operators
 
-        built = {"band": [], "far": [], "legendre": []}
+        built = {"band": [], "far": []}
         weight_rows = operators._weight_rows
 
         def band(u, terms, r0, *args, **kwargs):
             built["band"].append(r0 // _BLOCK)
             return weight_rows(u, terms, r0, *args, **kwargs)
 
-        def count_far_builds(cls, kind):
-            far_block = cls.far_block
+        far_block = operators._FarField.far_block
 
-            def far(self, b):
-                if self.far[b] is None:
-                    built[kind].append(b)
-                return far_block(self, b)
-
-            monkeypatch.setattr(cls, "far_block", far)
+        def far(self, b):
+            if self.far[b] is None:
+                built["far"].append(b)
+            return far_block(self, b)
 
         monkeypatch.setattr(operators, "_weight_rows", band)
-        count_far_builds(operators._CompressedLeft, "far")
-        count_far_builds(operators._FarField, "legendre")
+        monkeypatch.setattr(operators._FarField, "far_block", far)
         n = 1000
         g = make_graded_grid(make_params(0.5, 0.0, 2.0, 1.0, 2.0), n)
         z = g.nodes_z
@@ -529,10 +551,10 @@ class TestCompressedLeftKernel:
         blocks = -(-n // _BLOCK)
         assert list(g._cache) == ["left", ("left", operators._plain_kernel(0.5))]
         assert sorted(built["band"]) == list(range(blocks))
-        assert sorted(built["far"]) == sorted(built["legendre"]) == list(range(blocks - 2))
-        built = {"band": [], "far": [], "legendre": []}
+        assert sorted(built["far"]) == list(range(blocks - 2))
+        built = {"band": [], "far": []}
         gfi_left(GridFn(g, 0.0, np.cos(z)), 0.5)
-        assert built == {"band": [], "far": [], "legendre": []}
+        assert built == {"band": [], "far": []}
 
     @pytest.mark.parametrize("family", ["hk", "hilfer", "hadamard"])
     @pytest.mark.parametrize("n", [3 * _BLOCK + 5, 1000])
@@ -666,7 +688,7 @@ class TestCompressedRightKernel:
 
 
 class TestSharedFarField:
-    """Every kernel order on one side of a grid shares the side's Legendre columns."""
+    """Every kernel order on one side of a grid shares the side's far field."""
 
     @staticmethod
     def _grid():
@@ -685,7 +707,7 @@ class TestSharedFarField:
             assert all(np.array_equal(got[0], other) for other in got[1:])
 
     @pytest.mark.parametrize("side", ["left", "right"])
-    def test_the_second_order_on_a_side_builds_no_legendre_columns(self, side, monkeypatch):
+    def test_the_second_order_on_a_side_builds_no_far_columns(self, side, monkeypatch):
         from hkfrac import operators
 
         columns = []
@@ -703,14 +725,14 @@ class TestSharedFarField:
         first, columns[:] = list(columns), []
         op(f, 0.7)
         field = g._cache[side]
-        jacobi = [operators._EXP_SUM_NODES] * len(field.far)
-        # the first order builds its Jacobi and the side's Legendre columns, the second its Jacobi alone
-        assert sorted(first) == sorted(jacobi + field.counts) and min(field.counts) > jacobi[0]
-        assert columns == jacobi
+        # the first order builds the side's far field, one block at a time, and the second nothing
+        assert first == field.counts and min(field.counts) > operators._EXP_SUM_NODES
+        assert columns == []
 
     def test_a_multi_order_apply_keeps_one_far_field(self):
         # J^0.4 then D^(0.4,0.3) applies orders 0.4, 0.42 and 0.18 to one grid:
-        # a far field per order took 30.5 MB of tracemalloc peak here, one shared 20.1 MB
+        # a far field per order took 30.5 MB of tracemalloc peak here, one shared
+        # 20.1 MB with Gauss-Jacobi columns per order and 18.3 MB without
         g = make_graded_grid(make_params(0.4, 0.3, 2.0, 1.0, 2.0), 4096)
         f = GridFn(g, 0.0, np.cos(3.0 * g.nodes_z) + 1.0)
         tracemalloc.start()

@@ -575,21 +575,21 @@ class TestFrozenHistory:
     def test_a_solve_folds_each_far_block_once(self, name, n, monkeypatch):
         from hkfrac import operators
 
-        far_block = operators._CompressedLeft.far_block
-        tables, folded = [], []
+        far_block = operators._FarField.far_block
+        fields, folded = [], []
 
         def counted(self, b):
-            tables.append(self)
+            fields.append(self)
             folded.append(b)
             return far_block(self, b)
 
-        monkeypatch.setattr(operators._CompressedLeft, "far_block", counted)
+        monkeypatch.setattr(operators._FarField, "far_block", counted)
         problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
         picard_solve(problem, SolverConfig(n=n, tol=1e-10))
-        table = tables[0]
-        assert all(t is table for t in tables)
-        assert len(table.counts) == -(-n // _BLOCK) - 2
-        assert folded == list(range(len(table.counts)))
+        field = fields[0]
+        assert all(f is field for f in fields)
+        assert len(field.counts) == -(-n // _BLOCK) - 2
+        assert folded == list(range(len(field.counts)))
 
     @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
     def test_a_solve_builds_each_block_once_and_keeps_no_table(self, name, n, monkeypatch):
@@ -597,7 +597,7 @@ class TestFrozenHistory:
 
         built, held, tables = {"band": [], "far": []}, [], []
         weight_rows = operators._weight_rows
-        reach, far_block = operators._CompressedLeft.reach, operators._CompressedLeft.far_block
+        reach, far_block = operators._CompressedLeft.reach, operators._FarField.far_block
 
         def band(u, terms, r0, *args, **kwargs):
             built["band"].append(r0 // _BLOCK)
@@ -615,13 +615,13 @@ class TestFrozenHistory:
 
         monkeypatch.setattr(operators, "_weight_rows", band)
         monkeypatch.setattr(operators._CompressedLeft, "reach", reached)
-        monkeypatch.setattr(operators._CompressedLeft, "far_block", far)
+        monkeypatch.setattr(operators._FarField, "far_block", far)
         problem = _MILD_COS if name == "mild-cos" else _STIFF[name]
         report = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
         blocks = -(-n // _BLOCK)
         assert built == {"band": list(range(blocks)), "far": list(range(blocks - 2))}
         # the band blocks of the current start's rows at most, and no far block
-        assert max(held) == 2 and not any(tables[0].far)
+        assert max(held) == 2 and not any(tables[0].field.far)
         assert not report.grid._cache
 
     @pytest.mark.parametrize("name, n", [("hk-lambda-5", 512), ("mild-cos", 2048)])
@@ -635,7 +635,7 @@ class TestFrozenHistory:
                             lambda grid, terms, side, kept: operators._compressed(grid, terms, side))
         kept = picard_solve(problem, SolverConfig(n=n, tol=1e-10))
         table = kept.grid._cache[("left", _plain_kernel(problem.params.alpha))]
-        assert all(block is not None for block in table.band + table.far + table.field.far)
+        assert all(block is not None for block in table.band + table.field.far)
         assert np.array_equal(streamed.solution.regular_values, kept.solution.regular_values)
         assert streamed.iterations == kept.iterations
         assert streamed.residual_history == kept.residual_history
